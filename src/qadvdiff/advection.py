@@ -11,6 +11,7 @@ which includes both endpoints 0 and 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,8 @@ class VelocityProfile:
     def __post_init__(self) -> None:
         if not self.coefficients:
             raise ValueError("profile needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise ValueError(f"profile coefficients must be finite, got {self.coefficients}")
         expected = self._NAMED.get(self.label)
         if self.label != "custom":
             if expected is None:

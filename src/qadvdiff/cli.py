@@ -22,7 +22,13 @@ from .advection import (
     count_two_qubit_gates,
 )
 from .config import ConfigError, RunSettings, load_config
-from .demo import DEMO_ALPHA, DEMO_BETA, format_circuit_listing, run_demo
+from .demo import (
+    DEMO_ALPHA,
+    DEMO_BETA,
+    format_circuit_listing,
+    run_demo,
+    three_sigma_band,
+)
 from .oracles import (
     analytic_pulse_solution,
     error_norm,
@@ -284,11 +290,9 @@ def cmd_sample(args) -> int:
     result = run_scenario(config, field)
     state = result.final_state
     counts = sample_counts(state, args.shots, args.seed)
-    p = np.abs(state.amplitudes) ** 2
-    sigma = np.sqrt(p * (1.0 - p) / args.shots)
-    lo = np.sqrt(np.clip(p - 3.0 * sigma, 0.0, None))
-    hi = np.sqrt(p + 3.0 * sigma)
-    sampled = np.sqrt(counts / args.shots)
+    sampled, lo, hi, inside = three_sigma_band(
+        np.abs(state.amplitudes) ** 2, counts, args.shots
+    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -296,7 +300,6 @@ def cmd_sample(args) -> int:
         ("index", "ideal_amp", "sampled_amp", "lo_3sigma", "hi_3sigma"),
         _band_rows(np.abs(state.amplitudes), sampled, lo, hi),
     )
-    inside = float(np.mean((sampled >= lo) & (sampled <= hi)))
     print(f"success_prob = {result.success_prob:.6g}")
     print(f"fraction of bins inside the 3-sigma band = {inside:.3g}")
     return 0

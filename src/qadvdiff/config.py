@@ -7,6 +7,7 @@ number so a broken file points at itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,14 +57,17 @@ def _strip(line: str) -> str:
 
 
 def _parse_scalar(key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(f"line {lineno}: {key} expects {kind}, got {raw!r}") from None
+    if key in _INT_KEYS or key in _FLOAT_KEYS:
+        try:
+            value = int(raw) if key in _INT_KEYS else float(raw)
+        except ValueError:
+            kind = "an integer" if key in _INT_KEYS else "a number"
+            raise ConfigError(
+                f"line {lineno}: {key} expects {kind}, got {raw!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {raw!r}")
+        return value
     if key in _BOOL_KEYS:
         lowered = raw.lower()
         if lowered in ("true", "false"):
@@ -73,21 +77,19 @@ def _parse_scalar(key: str, raw: str, lineno: int):
 
 
 def _parse_profile(raw: str, lineno: int) -> VelocityProfile:
-    if raw.startswith("["):
+    try:
+        if not raw.startswith("["):
+            return VelocityProfile.named(raw)
         if not raw.endswith("]"):
-            raise ConfigError(f"line {lineno}: unterminated coefficient list")
+            raise ValueError("unterminated coefficient list")
         body = raw[1:-1].strip()
         if not body:
-            raise ConfigError(f"line {lineno}: empty coefficient list")
+            raise ValueError("empty coefficient list")
         try:
             coeffs = tuple(float(tok) for tok in body.split(","))
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: coefficient list must be numbers, got {raw!r}"
-            ) from None
+            raise ValueError(f"coefficient list must be numbers, got {raw!r}") from None
         return VelocityProfile.custom(coeffs)
-    try:
-        return VelocityProfile.named(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}") from None
 
@@ -125,7 +127,14 @@ def parse_config(text: str) -> RunSettings:
         lines[key] = lineno
         if key == "profile":
             values[key] = _parse_profile(raw, lineno)
-        elif key in ("bc_x", "bc_y"):
+        elif key == "bc_x":
+            if raw != BoundaryKind.PERIODIC.value:
+                raise ConfigError(
+                    f"line {lineno}: bc_x must be periodic (advection acts in the "
+                    f"streamwise Fourier basis), got {raw!r}"
+                )
+            values[key] = raw
+        elif key == "bc_y":
             values[key] = _parse_boundary(key, raw, lineno)
         else:
             values[key] = _parse_scalar(key, raw, lineno)
@@ -162,7 +171,6 @@ def parse_config(text: str) -> RunSettings:
             length=values.get("L", 1.0),
             velocity_scale=values.get("U", 1.0),
             splitting=splitting,
-            bc_x=values.get("bc_x", BoundaryKind.PERIODIC),
             bc_y=values.get("bc_y", BoundaryKind.NEUMANN),
             checkpoints=values.get("checkpoints", 10),
             merge_strang=values.get("merge_strang", False),

@@ -72,6 +72,21 @@ def build_demo_circuit(
     return circuit
 
 
+def three_sigma_band(probs: np.ndarray, counts: np.ndarray, shots: int):
+    """Sampled amplitudes sqrt(counts/shots) and their 3-sigma band.
+
+    The band is sqrt(p -+ 3*sigma) with the per-bin binomial deviation
+    sigma = sqrt(p(1-p)/shots).  Returns (sampled, lo, hi, inside) where
+    ``inside`` is the fraction of bins whose sampled amplitude lies in the band.
+    """
+    sampled = np.sqrt(counts / shots)
+    sigma = np.sqrt(probs * (1.0 - probs) / shots)
+    lo = np.sqrt(np.clip(probs - 3.0 * sigma, 0.0, None))
+    hi = np.sqrt(probs + 3.0 * sigma)
+    inside = float(np.mean((sampled >= lo) & (sampled <= hi)))
+    return sampled, lo, hi, inside
+
+
 @dataclass
 class DemoResult:
     """Ideal and sampled views of one demo execution."""
@@ -99,8 +114,7 @@ def run_demo(
     a hardware run that measures every qubit; shots with any ancilla reading 1
     are discarded by keeping only the first 2^n joint indices.  Reported
     amplitudes are therefore unnormalized (their squared norm is the success
-    probability) and the 3-sigma bands use the per-bin binomial deviation
-    sqrt(p(1-p)/shots).
+    probability); see three_sigma_band for the bands.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -113,12 +127,7 @@ def run_demo(
     ideal = block.real.copy()
     success = float(np.sum(ideal**2))
     counts = sample_counts(joint, shots, seed)[:dim]
-    sampled = np.sqrt(counts / shots)
-    p = ideal**2
-    sigma = np.sqrt(p * (1.0 - p) / shots)
-    lo = np.sqrt(np.clip(p - 3.0 * sigma, 0.0, None))
-    hi = np.sqrt(p + 3.0 * sigma)
-    inside = float(np.mean((sampled >= lo) & (sampled <= hi)))
+    sampled, lo, hi, inside = three_sigma_band(ideal**2, counts, shots)
     return DemoResult(
         n_qubits=n_qubits,
         circuit=circuit,

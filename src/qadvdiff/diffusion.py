@@ -20,7 +20,6 @@ from .state import (
     apply_circuit,
     cnot,
     damping,
-    damping_matrix,
     remap_circuit,
 )
 from .transforms import BoundaryKind, build_qft_circuit
@@ -50,11 +49,6 @@ class DiffusionParams:
         """beta = D*dt*(2*pi/L)^2 on periodic axes, D*dt*(pi/L)^2 on walls."""
         scale = 2.0 * np.pi if kind is BoundaryKind.PERIODIC else np.pi
         return cls(n_qubits, diffusivity * dt * (scale / length) ** 2, kind)
-
-
-def damping_unitary(gamma: float) -> np.ndarray:
-    """2x2 block encoding of the factor e^{-gamma} (rejects gamma < 0)."""
-    return damping_matrix(gamma)
 
 
 def periodic_damping_terms(n_qubits: int, beta: float) -> list[DampingTerm]:

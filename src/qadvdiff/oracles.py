@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
 
-from .transforms import BoundaryKind, WavenumberTable
+from .transforms import BoundaryKind, WavenumberTable, wall_transform, wavenumbers
 
 PULSE_CENTER = 0.5
 PULSE_VARIANCE = 1.0 / 200.0  # exp(-100 (x - 1/2)^2)
@@ -71,23 +70,13 @@ def analytic_pulse_solution(
 def _forward(vec: np.ndarray, kind: BoundaryKind, axis: int = 0) -> np.ndarray:
     if kind is BoundaryKind.PERIODIC:
         return np.fft.fft(vec, axis=axis, norm="ortho")
-    func = scipy.fft.dct if kind is BoundaryKind.NEUMANN else scipy.fft.dst
-    if np.iscomplexobj(vec):
-        return func(vec.real, type=2, axis=axis, norm="ortho") + 1j * func(
-            vec.imag, type=2, axis=axis, norm="ortho"
-        )
-    return func(vec, type=2, axis=axis, norm="ortho")
+    return wall_transform(vec, kind, axis=axis)
 
 
 def _backward(vec: np.ndarray, kind: BoundaryKind, axis: int = 0) -> np.ndarray:
     if kind is BoundaryKind.PERIODIC:
         return np.fft.ifft(vec, axis=axis, norm="ortho")
-    func = scipy.fft.dct if kind is BoundaryKind.NEUMANN else scipy.fft.dst
-    if np.iscomplexobj(vec):
-        return func(vec.real, type=3, axis=axis, norm="ortho") + 1j * func(
-            vec.imag, type=3, axis=axis, norm="ortho"
-        )
-    return func(vec, type=3, axis=axis, norm="ortho")
+    return wall_transform(vec, kind, inverse=True, axis=axis)
 
 
 def diagonal_propagator_oracle(
@@ -130,8 +119,6 @@ def split_propagation_oracle(config, field) -> tuple[np.ndarray, list[float]]:
     ends for Strang) with exact diagonal factors.  Returns the unnormalized
     final field and the per-step success probabilities.
     """
-    from .transforms import wavenumbers
-
     arr = np.asarray(field, dtype=np.complex128)
     two_d = config.n_y > 0
     if two_d:
@@ -331,12 +318,12 @@ def error_norm(state, reference) -> float:
 
     Both arguments are normalized before comparison, so any positive scaling
     of either side leaves the result unchanged.  Accepts QuantumState or raw
-    arrays on either side.
+    arrays on either side; (N_x, N_y) grids and flat x-fastest vectors
+    compare equal.
     """
-    a = np.asarray(getattr(state, "amplitudes", state), dtype=np.complex128).ravel()
-    b = np.asarray(
-        getattr(reference, "values", reference), dtype=np.complex128
-    ).ravel(order="F")
+    a = np.asarray(getattr(state, "amplitudes", state), dtype=np.complex128)
+    b = np.asarray(getattr(reference, "values", reference), dtype=np.complex128)
+    a, b = a.ravel(order="F"), b.ravel(order="F")
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)

@@ -10,8 +10,10 @@ Strang symmetrises with half advection on both sides.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,8 @@ class ScenarioConfig:
 
     ``n_x``/``n_y`` are qubits per axis (n_y = 0 for a one-dimensional run);
     lengths and times are in the units set by ``length`` and
-    ``velocity_scale``.  ``n_steps`` splitting steps cover ``t_final``.
+    ``velocity_scale``.  ``n_steps`` splitting steps cover ``t_final``.  The
+    streamwise axis is always periodic: advection acts in its Fourier basis.
     """
 
     n_x: int
@@ -62,7 +65,6 @@ class ScenarioConfig:
     length: float = 1.0
     velocity_scale: float = 1.0
     splitting: str = "trotter"
-    bc_x: BoundaryKind = BoundaryKind.PERIODIC
     bc_y: BoundaryKind = BoundaryKind.NEUMANN
     checkpoints: int = 10
     merge_strang: bool = False
@@ -72,11 +74,10 @@ class ScenarioConfig:
             raise ValueError(f"streamwise register needs >= 2 qubits, got {self.n_x}")
         if self.n_y < 0:
             raise ValueError(f"wall-normal register size must be >= 0, got {self.n_y}")
-        if self.bc_x is not BoundaryKind.PERIODIC:
-            raise ValueError(
-                "streamwise axis must be periodic; the advection kernel acts in "
-                "the Fourier basis"
-            )
+        for name in ("diffusivity", "t_final", "length", "velocity_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.splitting not in _SPLITTINGS:
             raise ValueError(
                 f"splitting must be one of {_SPLITTINGS}, got {self.splitting!r}"
@@ -179,6 +180,16 @@ class RunResult:
     wall_time_s: float = 0.0
 
 
+class _Stage(NamedTuple):
+    """A circuit widened onto the full register, with the gate totals that
+    one application of it adds."""
+
+    circuit: Circuit
+    category: str
+    controlled: int
+    two_qubit: int
+
+
 class _Stepper:
     """Precompiled circuits for one splitting step at a fixed dt."""
 
@@ -194,22 +205,18 @@ class _Stepper:
         }
 
         widen_x = {q: q for q in range(n_x)}
-        self.qft_fwd = remap_circuit(
-            build_qft_circuit(n_x, inverse=True), widen_x, self.n_total
-        )
-        self.qft_bwd = remap_circuit(build_qft_circuit(n_x), widen_x, self.n_total)
+        self.qft_fwd = self._stage(build_qft_circuit(n_x, inverse=True), widen_x, "qft")
+        self.qft_bwd = self._stage(build_qft_circuit(n_x), widen_x, "qft")
 
         alpha = 2.0 * np.pi * config.velocity_scale * dt / config.length
         widen_xy = {q: q for q in range(n_x + n_y)}
-        self.adv_full = remap_circuit(
-            build_shear_advection(n_x, n_y, alpha, config.profile),
-            widen_xy,
-            self.n_total,
+        self.adv_full = self._stage(
+            build_shear_advection(n_x, n_y, alpha, config.profile), widen_xy, "advection"
         )
-        self.adv_half = remap_circuit(
+        self.adv_half = self._stage(
             build_shear_advection(n_x, n_y, 0.5 * alpha, config.profile),
             widen_xy,
-            self.n_total,
+            "advection",
         )
 
         beta_x = DiffusionParams.from_physical(
@@ -217,8 +224,8 @@ class _Stepper:
         ).beta
         map_x = dict(widen_x)
         map_x[n_x] = self.ancilla
-        self.diff_x = remap_circuit(
-            build_periodic_diffusion(n_x, beta_x), map_x, self.n_total
+        self.diff_x = self._stage(
+            build_periodic_diffusion(n_x, beta_x), map_x, "diffusion"
         )
 
         self.y_fwd = None
@@ -231,45 +238,44 @@ class _Stepper:
             map_y = {q: n_x + q for q in range(n_y)}
             map_y[n_y] = self.ancilla
             if config.bc_y is BoundaryKind.PERIODIC:
-                self.y_fwd = remap_circuit(
-                    build_qft_circuit(n_y, inverse=True), map_y, self.n_total
+                self.y_fwd = self._stage(
+                    build_qft_circuit(n_y, inverse=True), map_y, "qft"
                 )
-                self.y_bwd = remap_circuit(build_qft_circuit(n_y), map_y, self.n_total)
-                self.diff_y = remap_circuit(
-                    build_periodic_diffusion(n_y, beta_y), map_y, self.n_total
-                )
+                self.y_bwd = self._stage(build_qft_circuit(n_y), map_y, "qft")
+                diff_y = build_periodic_diffusion(n_y, beta_y)
             else:
-                self.diff_y = remap_circuit(
-                    build_halfspectrum_diffusion(n_y, beta_y, config.bc_y),
-                    map_y,
-                    self.n_total,
-                )
+                diff_y = build_halfspectrum_diffusion(n_y, beta_y, config.bc_y)
+            self.diff_y = self._stage(diff_y, map_y, "diffusion")
 
-    def _circuit(self, state: QuantumState, circ: Circuit, category: str) -> QuantumState:
-        self.counts[category]["controlled"] += count_controlled_gates(circ)
-        self.counts[category]["two_qubit"] += count_two_qubit_gates(circ)
-        return apply_circuit(state, circ)
+    def _stage(self, circuit: Circuit, mapping: dict[int, int], category: str) -> _Stage:
+        wide = remap_circuit(circuit, mapping, self.n_total)
+        return _Stage(wide, category, count_controlled_gates(wide),
+                      count_two_qubit_gates(wide))
+
+    def _apply(self, state: QuantumState, stage: _Stage) -> QuantumState:
+        counts = self.counts[stage.category]
+        counts["controlled"] += stage.controlled
+        counts["two_qubit"] += stage.two_qubit
+        return apply_circuit(state, stage.circuit)
 
     def _advect(self, state: QuantumState, half: bool) -> QuantumState:
-        circ = self.adv_half if half else self.adv_full
-        state = self._circuit(state, self.qft_fwd, "qft")
-        state = self._circuit(state, circ, "advection")
-        return state
+        state = self._apply(state, self.qft_fwd)
+        return self._apply(state, self.adv_half if half else self.adv_full)
 
     def _diffuse_x_and_leave_fourier(self, state: QuantumState) -> QuantumState:
-        state = self._circuit(state, self.diff_x, "diffusion")
-        return self._circuit(state, self.qft_bwd, "qft")
+        state = self._apply(state, self.diff_x)
+        return self._apply(state, self.qft_bwd)
 
     def _diffuse_y(self, state: QuantumState) -> QuantumState:
         if self.config.n_y == 0:
             return state
         if self.config.bc_y is BoundaryKind.PERIODIC:
-            state = self._circuit(state, self.y_fwd, "qft")
-            state = self._circuit(state, self.diff_y, "diffusion")
-            return self._circuit(state, self.y_bwd, "qft")
+            state = self._apply(state, self.y_fwd)
+            state = self._apply(state, self.diff_y)
+            return self._apply(state, self.y_bwd)
         apply_mode = apply_qct if self.config.bc_y is BoundaryKind.NEUMANN else apply_qst
         state = apply_mode(state, self.y_qubits, inverse=False)
-        state = self._circuit(state, self.diff_y, "diffusion")
+        state = self._apply(state, self.diff_y)
         return apply_mode(state, self.y_qubits, inverse=True)
 
     def step(self, state: QuantumState, first: bool = True, last: bool = True) -> QuantumState:
@@ -285,13 +291,13 @@ class _Stepper:
             state = self._diffuse_y(state)
             if last:
                 state = self._advect(state, half=True)
-                state = self._circuit(state, self.qft_bwd, "qft")
+                state = self._apply(state, self.qft_bwd)
             return state
         state = self._advect(state, half=True)
         state = self._diffuse_x_and_leave_fourier(state)
         state = self._diffuse_y(state)
         state = self._advect(state, half=True)
-        return self._circuit(state, self.qft_bwd, "qft")
+        return self._apply(state, self.qft_bwd)
 
     def flat_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -331,29 +337,6 @@ def _checkpoint_steps(config: ScenarioConfig) -> list[int]:
     for k in range(1, config.checkpoints):
         marks.add((k * config.n_steps) // config.checkpoints)
     return sorted(marks)
-
-
-def trotter_step(state: QuantumState, config: ScenarioConfig, dt: float) -> QuantumState:
-    """One Lie-Trotter step (advection, then both diffusion axes) on a state
-    that already includes the trailing ancilla qubit."""
-    stepper = _Stepper(
-        _replace_splitting(config, "trotter"), dt
-    )
-    return stepper.step(state)
-
-
-def strang_step(state: QuantumState, config: ScenarioConfig, dt: float) -> QuantumState:
-    """One Strang step (half advection, diffusion, half advection)."""
-    stepper = _Stepper(_replace_splitting(config, "strang"), dt)
-    return stepper.step(state)
-
-
-def _replace_splitting(config: ScenarioConfig, name: str) -> ScenarioConfig:
-    if config.splitting == name and not config.merge_strang:
-        return config
-    from dataclasses import replace
-
-    return replace(config, splitting=name, merge_strang=False)
 
 
 def with_ancilla(config: ScenarioConfig, initial) -> QuantumState:

@@ -120,16 +120,20 @@ class Circuit:
     ancilla_indices: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
+        self._check_qubits(self.ancilla_indices, "ancilla")
         for gate in self.gates:
             self._check_gate(gate)
+
+    def _check_qubits(self, qubits, role: str) -> None:
+        for q in qubits:
+            if not 0 <= q < self.n_qubits:
+                raise ValueError(f"{role} qubit {q} outside register of {self.n_qubits}")
 
     def _check_gate(self, gate: GateOp) -> None:
         qubits = [gate.target] + [q for q, _ in gate.controls]
         if gate.partner is not None:
             qubits.append(gate.partner)
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"gate qubit {q} outside register of {self.n_qubits}")
+        self._check_qubits(qubits, "gate")
 
     def add(self, gate: GateOp) -> None:
         self._check_gate(gate)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 import scipy.fft
 
-from .state import Circuit, QuantumState, hadamard, phase, swap
+from .state import Circuit, QuantumState, hadamard, inverse_circuit, phase, swap
 
 
 class BoundaryKind(str, Enum):
@@ -64,7 +64,8 @@ def build_qft_circuit(n_qubits: int, inverse: bool = False) -> Circuit:
 
     Hadamards plus controlled phases, closed by an explicit swap network so the
     output mode index is read in the natural binary order.  ``inverse=True``
-    returns the adjoint (grid-to-mode analysis orientation).
+    returns its adjoint from inverse_circuit (grid-to-mode analysis
+    orientation).
     """
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
@@ -75,18 +76,25 @@ def build_qft_circuit(n_qubits: int, inverse: bool = False) -> Circuit:
             gates.append(phase(i, np.pi / (1 << (i - j)), controls=((j, 1),)))
     for i in range(n_qubits // 2):
         gates.append(swap(i, n_qubits - 1 - i))
-    if inverse:
-        flipped = []
-        for g in reversed(gates):
-            if g.kind.value in ("phase", "cphase"):
-                flipped.append(phase(g.target, -g.param, g.controls))
-            else:
-                flipped.append(g)
-        gates = flipped
-    return Circuit(n_qubits, gates)
+    circuit = Circuit(n_qubits, gates)
+    return inverse_circuit(circuit) if inverse else circuit
 
 
-def _axis_view(state: QuantumState, axis_qubits) -> tuple[np.ndarray, int]:
+def wall_transform(
+    values: np.ndarray, kind: BoundaryKind, inverse: bool = False, axis: int = 0
+) -> np.ndarray:
+    """Orthonormal cosine (NEUMANN) or sine (DIRICHLET) transform along ``axis``.
+
+    Type 2 maps grid to modes and type 3 maps back.  Complex input goes to
+    scipy as is; it transforms the real and imaginary parts separately.
+    """
+    func = scipy.fft.dct if kind is BoundaryKind.NEUMANN else scipy.fft.dst
+    return func(values, type=3 if inverse else 2, axis=axis, norm="ortho")
+
+
+def _apply_wall_transform(
+    state: QuantumState, axis_qubits, kind: BoundaryKind, inverse: bool
+) -> QuantumState:
     qubits = list(axis_qubits)
     if not qubits:
         raise ValueError("axis_qubits must not be empty")
@@ -97,12 +105,7 @@ def _axis_view(state: QuantumState, axis_qubits) -> tuple[np.ndarray, int]:
         raise ValueError(f"axis qubits {qubits} outside register of {state.n_qubits}")
     high = 1 << (state.n_qubits - lo - m)
     cube = state.amplitudes.reshape(high, 1 << m, 1 << lo)
-    return cube, m
-
-
-def _orthonormal_axis_transform(state, axis_qubits, func) -> QuantumState:
-    cube, _ = _axis_view(state, axis_qubits)
-    out = func(cube.real) + 1j * func(cube.imag)
+    out = wall_transform(cube, kind, inverse, axis=1)
     return QuantumState(state.n_qubits, out.reshape(-1), state.success_prob)
 
 
@@ -111,12 +114,7 @@ def apply_qct(state: QuantumState, axis_qubits, inverse: bool = False) -> Quantu
 
     Forward rows: mode 0 is sqrt(1/N), mode k is sqrt(2/N)*cos[pi*(n+1/2)*k/N].
     """
-    dct_type = 3 if inverse else 2
-    return _orthonormal_axis_transform(
-        state,
-        axis_qubits,
-        lambda a: scipy.fft.dct(a, type=dct_type, axis=1, norm="ortho"),
-    )
+    return _apply_wall_transform(state, axis_qubits, BoundaryKind.NEUMANN, inverse)
 
 
 def apply_qst(state: QuantumState, axis_qubits, inverse: bool = False) -> QuantumState:
@@ -125,9 +123,4 @@ def apply_qst(state: QuantumState, axis_qubits, inverse: bool = False) -> Quantu
     Forward rows: mode k is sqrt(2/N)*sin[pi*(n+1/2)*(k+1)/N], with the top
     mode k = N-1 scaled by 1/sqrt(2) so the matrix stays orthogonal.
     """
-    dst_type = 3 if inverse else 2
-    return _orthonormal_axis_transform(
-        state,
-        axis_qubits,
-        lambda a: scipy.fft.dst(a, type=dst_type, axis=1, norm="ortho"),
-    )
+    return _apply_wall_transform(state, axis_qubits, BoundaryKind.DIRICHLET, inverse)

@@ -62,6 +62,11 @@ class TestVelocityProfile:
         with pytest.raises(ValueError, match="at least one"):
             VelocityProfile.custom([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            VelocityProfile.custom([0.0, bad])
+
 
 class TestPhaseExpansion:
     def test_uniform_is_a_single_bare_term(self):

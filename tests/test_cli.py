@@ -113,6 +113,17 @@ class TestRun:
         assert "line 5" in err and "what" in err
 
 
+    def test_non_finite_value_fails_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text("n_x = 5\nprofile = uniform\nD = nan\n"
+                        "t_final = 1.0\nreference = none\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--out-dir", str(out)])
+        assert rc == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("field_*.csv"))
+
+
 class TestConverge:
     def test_grid_sweep_writes_slope_footer(self, pulse_cfg, tmp_path):
         out = tmp_path / "conv"

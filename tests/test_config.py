@@ -109,6 +109,17 @@ class TestErrors:
         self.expect(prefix + "reference = guess\n", "reference")
         self.expect(prefix + "initial = noise\n", "initial")
 
+    def test_streamwise_boundary_must_be_periodic(self):
+        prefix = "n_x = 3\nprofile = uniform\nD = 0.1\nt_final = 1.0\n"
+        self.expect(prefix + "bc_x = neumann\n", r"line 5: bc_x must be periodic")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["D = nan", "t_final = inf", "L = nan", "U = -inf", "profile = [0.0, nan]"],
+    )
+    def test_non_finite_numbers_report_line(self, line):
+        self.expect(f"n_x = 3\n{line}\n", r"line 2: .*finite")
+
     def test_unknown_profile_name(self):
         self.expect("n_x = 3\nprofile = vortex\nD = 0.1\nt_final = 1.0\n",
                     "vortex")

@@ -10,14 +10,13 @@ from qadvdiff.diffusion import (
     DiffusionParams,
     build_halfspectrum_diffusion,
     build_periodic_diffusion,
-    damping_unitary,
     halfspectrum_damping_terms,
     periodic_damping_terms,
     prepare_gaussian_by_diffusion,
     worst_case_success,
 )
 from qadvdiff.oracles import diagonal_propagator_oracle
-from qadvdiff.state import QuantumState, apply_circuit
+from qadvdiff.state import QuantumState, apply_circuit, damping_matrix
 from qadvdiff.transforms import BoundaryKind, wavenumbers
 
 
@@ -143,9 +142,9 @@ class TestParams:
         params = DiffusionParams.from_physical(3, 0.02, 0.5, 2.0, kind)
         assert_allclose(params.beta, 0.02 * 0.5 * (np.pi / 2.0) ** 2)
 
-    def test_damping_unitary_rejects_amplification(self):
+    def test_damping_matrix_rejects_amplification(self):
         with pytest.raises(ValueError):
-            damping_unitary(-0.1)
+            damping_matrix(-0.1)
 
 
 class TestSuccessFloor:

@@ -311,6 +311,11 @@ class TestErrorNorm:
         field = ScalarField(np.array([[1.0, 3.0], [2.0, 4.0]]), dx=0.5)
         assert error_norm(state, field) == pytest.approx(0.0, abs=1e-15)
 
+    def test_grid_and_flat_layouts_agree(self):
+        grid = np.array([[1.0, 5.0], [2.0, 6.0], [3.0, 7.0], [4.0, 8.0]])
+        assert error_norm(grid, grid) == 0.0
+        assert error_norm(grid.ravel(order="F"), grid) == 0.0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             error_norm(np.ones(4), np.ones(8))

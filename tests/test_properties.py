@@ -1,0 +1,70 @@
+"""Property tests: transform round trips, QFT adjoint, error_norm invariances."""
+
+import numpy as np
+import scipy.fft
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
+
+from conftest import random_state_vector
+from qadvdiff.oracles import error_norm
+from qadvdiff.state import QuantumState, apply_circuit
+from qadvdiff.transforms import apply_qct, apply_qst, build_qft_circuit
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def register_and_axis(draw):
+    """(n_qubits, axis qubits) with a contiguous axis run inside the register."""
+    n_qubits = draw(st.integers(1, 7))
+    m = draw(st.integers(1, n_qubits))
+    lo = draw(st.integers(0, n_qubits - m))
+    return n_qubits, list(range(lo, lo + m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(register_and_axis(), SEEDS, st.sampled_from([apply_qct, apply_qst]))
+def test_wall_transform_round_trip(layout, seed, transform):
+    n_qubits, axis = layout
+    state = QuantumState(n_qubits, random_state_vector(n_qubits, seed))
+    back = transform(transform(state, axis), axis, inverse=True)
+    assert_allclose(back.amplitudes, state.amplitudes, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(register_and_axis(), SEEDS, st.booleans(),
+       st.sampled_from([(apply_qct, scipy.fft.dct), (apply_qst, scipy.fft.dst)]))
+def test_wall_transform_matches_scipy_on_split_parts(layout, seed, inverse, pair):
+    # complex input must equal transforming the real and imaginary parts apart
+    transform, reference = pair
+    n_qubits, axis = layout
+    lo, m = axis[0], len(axis)
+    amps = random_state_vector(n_qubits, seed)
+    cube = amps.reshape(1 << (n_qubits - lo - m), 1 << m, 1 << lo)
+    kw = dict(type=3 if inverse else 2, axis=1, norm="ortho")
+    expected = reference(cube.real, **kw) + 1j * reference(cube.imag, **kw)
+    out = transform(QuantumState(n_qubits, amps), axis, inverse=inverse)
+    assert_allclose(out.amplitudes, expected.reshape(-1), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), SEEDS)
+def test_qft_after_its_inverse_is_identity(n_qubits, seed):
+    state = QuantumState(n_qubits, random_state_vector(n_qubits, seed))
+    analysis = build_qft_circuit(n_qubits, inverse=True)
+    out = apply_circuit(apply_circuit(state, analysis), build_qft_circuit(n_qubits))
+    assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), SEEDS,
+       st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_error_norm_ignores_scale_and_layout(n_x, n_y, seed, scale_a, scale_b):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(1 << n_x, 1 << n_y))
+    b = a + 0.1 * rng.normal(size=a.shape)
+    base = error_norm(a, b)
+    assert error_norm(a, a) == 0.0
+    assert_allclose(error_norm(scale_a * a, scale_b * b), base, rtol=1e-9, atol=1e-14)
+    assert_allclose(error_norm(a.ravel(order="F"), b), base, rtol=1e-12, atol=1e-15)
+    assert_allclose(error_norm(a, b.ravel(order="F")), base, rtol=1e-12, atol=1e-15)

@@ -1,5 +1,7 @@
 """Splitting driver: scenario configs, step pipeline, oracle equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,9 +19,6 @@ from qadvdiff.splitting import (
     decompose_steady_state,
     initial_scalar_field,
     run_scenario,
-    strang_step,
-    trotter_step,
-    with_ancilla,
     x_coordinates,
     y_coordinates,
 )
@@ -52,7 +51,7 @@ class TestScenarioConfig:
         [
             (dict(n_x=1), ">= 2 qubits"),
             (dict(n_y=-1), ">= 0"),
-            (dict(bc_x=BoundaryKind.NEUMANN), "periodic"),
+            (dict(diffusivity=float("nan")), "finite"),
             (dict(splitting="euler"), "splitting"),
             (dict(diffusivity=-0.1), "diffusivity"),
             (dict(t_final=-1.0), "t_final"),
@@ -61,6 +60,9 @@ class TestScenarioConfig:
             (dict(checkpoints=0), "checkpoints"),
             (dict(profile=VelocityProfile.couette()), "wall-normal"),
             (dict(merge_strang=True), "merge_strang"),
+            (dict(t_final=float("inf")), "finite"),
+            (dict(length=float("nan")), "finite"),
+            (dict(velocity_scale=float("-inf")), "finite"),
         ],
     )
     def test_validation(self, overrides, message):
@@ -202,6 +204,9 @@ class TestRunScenario:
         assert counts["advection_controlled"] > 0
         assert counts["qft_two_qubit"] > 0
         assert result.wall_time_s > 0.0
+        one_step = run_scenario(replace(config, n_steps=1),
+                                initial_scalar_field(config))
+        assert counts == {k: 2 * v for k, v in one_step.gate_counts.items()}
 
     def test_reference_errors_are_attached(self):
         config = make_config()
@@ -253,29 +258,34 @@ class TestMergedStrang:
 
 class TestSingleSteps:
     def test_trotter_step_equals_single_step_run(self):
+        # the first step of a two-step run is the whole of a one-step run
         config = make_config(n_steps=1, t_final=0.3)
         field = initial_scalar_field(config)
-        state = with_ancilla(config, field)
-        stepped = trotter_step(state, config, config.dt)
+        longer = run_scenario(
+            replace(config, n_steps=2, t_final=0.6, checkpoints=2), field
+        )
         result = run_scenario(config, field)
-        assert_allclose(stepped.amplitudes[:16],
-                        result.final_state.amplitudes, atol=1e-13)
-        assert_allclose(stepped.success_prob, result.success_prob, rtol=1e-12)
+        step, first = longer.checkpoint_states[1]
+        assert step == 1
+        assert_allclose(first, result.final_state.amplitudes, atol=1e-13)
+        assert_allclose(longer.success_prob_history[0], result.success_prob,
+                        rtol=1e-12)
 
     def test_strang_step_differs_from_trotter_under_shear(self):
         config = make_config(n_x=3, n_y=2, profile=VelocityProfile.couette(),
                              diffusivity=0.02, t_final=0.5)
-        state = with_ancilla(config, initial_scalar_field(config))
-        a = trotter_step(state, config, 0.5)
-        b = strang_step(state, config, 0.5)
+        field = initial_scalar_field(config)
+        a = run_scenario(config, field).final_state
+        b = run_scenario(replace(config, splitting="strang"), field).final_state
         assert np.linalg.norm(a.amplitudes - b.amplitudes) > 1e-8
 
     def test_zero_dt_is_identity(self):
-        config = make_config()
-        state = with_ancilla(config, initial_scalar_field(config))
-        for step in (trotter_step, strang_step):
-            out = step(state, config, 0.0)
-            assert_allclose(out.amplitudes, state.amplitudes, atol=1e-12)
+        config = make_config(t_final=0.0)
+        field = initial_scalar_field(config)
+        for splitting in ("trotter", "strang"):
+            out = run_scenario(replace(config, splitting=splitting), field)
+            assert_allclose(out.final_state.amplitudes,
+                            field / np.linalg.norm(field), atol=1e-12)
             assert_allclose(out.success_prob, 1.0, rtol=1e-12)
 
 

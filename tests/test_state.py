@@ -61,6 +61,11 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside"):
             circuit.add(phase(2, 0.3))
 
+    @pytest.mark.parametrize("ancilla", [-1, 2, 5])
+    def test_ancilla_outside_register(self, ancilla):
+        with pytest.raises(ValueError, match=f"ancilla qubit {ancilla} outside"):
+            Circuit(2, [], frozenset({ancilla}))
+
 
 class TestSingleGates:
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
