@@ -167,7 +167,9 @@ class RunResult:
 
     ``final_state`` covers the main register only (ancilla projected out and
     dropped); ``checkpoint_states`` maps step indices to normalized field
-    vectors.
+    vectors.  ``stage_times_s`` holds the seconds spent in each stage
+    category (``qft``, ``advection``, ``diffusion`` and the wall-normal
+    DCT/DST ``wall``).
     """
 
     config: ScenarioConfig
@@ -177,6 +179,7 @@ class RunResult:
     checkpoint_states: list[tuple[int, np.ndarray]]
     error_norms: dict[str, float] = dataclass_field(default_factory=dict)
     gate_counts: dict[str, int] = dataclass_field(default_factory=dict)
+    stage_times_s: dict[str, float] = dataclass_field(default_factory=dict)
     wall_time_s: float = 0.0
 
 
@@ -203,21 +206,27 @@ class _Stepper:
             key: {"controlled": 0, "two_qubit": 0}
             for key in ("qft", "advection", "diffusion")
         }
+        self.times = dict.fromkeys(("qft", "advection", "diffusion", "wall"), 0.0)
 
         widen_x = {q: q for q in range(n_x)}
         self.qft_fwd = self._stage(build_qft_circuit(n_x, inverse=True), widen_x, "qft")
         self.qft_bwd = self._stage(build_qft_circuit(n_x), widen_x, "qft")
 
+        # Trotter applies only full advection steps, unmerged Strang only
+        # half steps; merged Strang needs both.
         alpha = 2.0 * np.pi * config.velocity_scale * dt / config.length
         widen_xy = {q: q for q in range(n_x + n_y)}
-        self.adv_full = self._stage(
-            build_shear_advection(n_x, n_y, alpha, config.profile), widen_xy, "advection"
-        )
-        self.adv_half = self._stage(
-            build_shear_advection(n_x, n_y, 0.5 * alpha, config.profile),
-            widen_xy,
-            "advection",
-        )
+        self.adv_full = self.adv_half = None
+        if config.splitting == "trotter" or config.merge_strang:
+            self.adv_full = self._stage(
+                build_shear_advection(n_x, n_y, alpha, config.profile),
+                widen_xy, "advection",
+            )
+        if config.splitting == "strang":
+            self.adv_half = self._stage(
+                build_shear_advection(n_x, n_y, 0.5 * alpha, config.profile),
+                widen_xy, "advection",
+            )
 
         beta_x = DiffusionParams.from_physical(
             n_x, config.diffusivity, dt, config.length, BoundaryKind.PERIODIC
@@ -256,7 +265,17 @@ class _Stepper:
         counts = self.counts[stage.category]
         counts["controlled"] += stage.controlled
         counts["two_qubit"] += stage.two_qubit
-        return apply_circuit(state, stage.circuit)
+        t0 = time.perf_counter()
+        state = apply_circuit(state, stage.circuit)
+        self.times[stage.category] += time.perf_counter() - t0
+        return state
+
+    def _wall(self, state: QuantumState, inverse: bool) -> QuantumState:
+        transform = apply_qct if self.config.bc_y is BoundaryKind.NEUMANN else apply_qst
+        t0 = time.perf_counter()
+        state = transform(state, self.y_qubits, inverse=inverse)
+        self.times["wall"] += time.perf_counter() - t0
+        return state
 
     def _advect(self, state: QuantumState, half: bool) -> QuantumState:
         state = self._apply(state, self.qft_fwd)
@@ -273,10 +292,9 @@ class _Stepper:
             state = self._apply(state, self.y_fwd)
             state = self._apply(state, self.diff_y)
             return self._apply(state, self.y_bwd)
-        apply_mode = apply_qct if self.config.bc_y is BoundaryKind.NEUMANN else apply_qst
-        state = apply_mode(state, self.y_qubits, inverse=False)
+        state = self._wall(state, inverse=False)
         state = self._apply(state, self.diff_y)
-        return apply_mode(state, self.y_qubits, inverse=True)
+        return self._wall(state, inverse=True)
 
     def step(self, state: QuantumState, first: bool = True, last: bool = True) -> QuantumState:
         config = self.config
@@ -320,13 +338,16 @@ def _coerce_initial(config: ScenarioConfig, initial) -> np.ndarray:
                 f"initial state has {initial.n_qubits} qubits, scenario needs "
                 f"{config.n_x + config.n_y}"
             )
-        return initial.amplitudes.copy()
-    arr = np.asarray(initial, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = arr.reshape(-1, order="F")
-    if arr.size != main_dim:
-        raise ValueError(f"initial field has {arr.size} entries, grid has {main_dim}")
-    norm = np.linalg.norm(arr)
+        arr, norm = initial.amplitudes, 1.0  # a state is used as given
+    else:
+        arr = np.asarray(initial, dtype=np.complex128)
+        if arr.ndim == 2:
+            arr = arr.reshape(-1, order="F")
+        if arr.size != main_dim:
+            raise ValueError(f"initial field has {arr.size} entries, grid has {main_dim}")
+        norm = np.linalg.norm(arr)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("initial field holds non-finite values")
     if norm == 0.0:
         raise ValueError("initial field is identically zero")
     return arr / norm
@@ -390,6 +411,7 @@ def run_scenario(
         checkpoint_states=checkpoints,
         error_norms=error_norms,
         gate_counts=stepper.flat_counts(),
+        stage_times_s=dict(stepper.times),
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -5,10 +5,31 @@ state ``|q_{n-1} ... q_1 q_0>`` lives at amplitude index ``sum_r 2**r * q_r``.
 Non-unitary damping blocks are realised with an ancilla qubit that is projected
 back onto ``|0>``; the accumulated postselection probability is tracked on the
 state as ``success_prob``.
+
+Circuits run through one compiled engine.  The first time ``apply_circuit``
+runs a circuit it compiles the gate list into a short program of in-place
+steps and caches it on the circuit, once per ``project_ancillas`` value;
+``Circuit.add`` drops the cache.  Every step acts on the amplitudes reshaped
+to a (2,)*n tensor, where qubit q is axis n-1-q, and pins control and target
+values with length-1 slices.  The steps therefore read and write strided
+views of the register; no index or mask array over the register is built.
+
+- A run of consecutive phase and controlled-phase gates becomes one phase
+  tensor over the qubits the run touches, broadcast onto the register.
+- With projection on, a run of consecutive damping gates on one declared
+  ancilla, each followed by its |0> projection, becomes one step: a 2x2
+  update for the first gate, after which the ancilla's |1> half is zeroed,
+  one real factor tensor for the rest, and one renormalization whose
+  probability multiplies ``success_prob``.  A run whose probability is below
+  1e-300 raises ``postselection impossible``.
+- Hadamard, CNOT, swap and unprojected damping gates are one step each.
+
+``apply_gate`` and ``project_ancilla_zero`` use the same steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -19,7 +40,6 @@ import numpy as np
 DEFAULT_MAX_QUBITS = 26
 _MAX_QUBITS_ENV = "QADVDIFF_MAX_QUBITS"
 
-_NORM_TOL = 1e-12
 _MIN_POSTSELECT_PROB = 1e-300
 
 
@@ -118,6 +138,7 @@ class Circuit:
     n_qubits: int
     gates: list[GateOp] = field(default_factory=list)
     ancilla_indices: frozenset[int] = frozenset()
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._check_qubits(self.ancilla_indices, "ancilla")
@@ -138,10 +159,20 @@ class Circuit:
     def add(self, gate: GateOp) -> None:
         self._check_gate(gate)
         self.gates.append(gate)
+        self._programs.clear()
 
     def extend(self, gates) -> None:
         for gate in gates:
             self.add(gate)
+
+    def _program(self, project_ancillas: bool) -> list:
+        """The compiled steps apply_circuit runs, built once per projection mode.
+
+        Change the gate list only through add/extend, which drop the cache.
+        """
+        if project_ancillas not in self._programs:
+            self._programs[project_ancillas] = _compile(self, project_ancillas)
+        return self._programs[project_ancillas]
 
 
 @dataclass
@@ -185,10 +216,13 @@ def new_state(n_qubits: int) -> QuantumState:
 def encode_amplitudes(values) -> QuantumState:
     """Load a real or complex vector as a normalized state.
 
-    The length must be a power of two and the vector must not be identically
-    zero; normalization is applied here so callers can pass raw field samples.
+    The length must be a power of two and the vector must be finite and not
+    identically zero; normalization is applied here so callers can pass raw
+    field samples.
     """
     amps = np.asarray(values, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
     dim = amps.size
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
@@ -200,10 +234,6 @@ def encode_amplitudes(values) -> QuantumState:
     return QuantumState(n_qubits, amps / norm)
 
 
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
 def damping_matrix(gamma: float) -> np.ndarray:
     """2x2 rotation R_Y(2*arccos(e^-gamma)); |0> -> e^-gamma|0> + sqrt(1-e^-2g)|1>."""
     if gamma < 0.0:
@@ -213,70 +243,170 @@ def damping_matrix(gamma: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
-def _gate_matrix(gate: GateOp) -> np.ndarray:
-    if gate.kind in (GateKind.PHASE, GateKind.CONTROLLED_PHASE):
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * gate.param)]], dtype=np.complex128)
+_H = 1.0 / np.sqrt(2.0)
+_PHASE_KINDS = (GateKind.PHASE, GateKind.CONTROLLED_PHASE)
+
+
+def _register(state: QuantumState) -> np.ndarray:
+    """The amplitudes as a (2,)*n tensor sharing their memory; qubit q is axis n-1-q."""
+    return state.amplitudes.reshape((2,) * state.n_qubits)
+
+
+def _pins(n_qubits: int, pins) -> tuple[slice, ...]:
+    """Index into the register tensor that fixes each (qubit, value) pin.
+
+    Pins are length-1 slices, so the result is always a view: indexing every
+    axis with an integer would return a scalar copy, and an in-place update
+    through it would be lost.
+    """
+    index = [slice(None)] * n_qubits
+    for q, v in pins:
+        index[n_qubits - 1 - q] = slice(v, v + 1)
+    return tuple(index)
+
+
+def _diagonal_step(n_qubits: int, terms, scale: complex):
+    """One step multiplying the register by exp(scale * summed exponents).
+
+    ``terms`` are (pins, value) pairs; each adds ``value`` to the exponent on
+    the part of the register its pins select.  Pins shared by every term
+    select the view the factor tensor applies to; the other pinned qubits get
+    length-2 axes and every remaining axis has length 1, so the tensor
+    broadcasts onto that view.
+    """
+    common = set.intersection(*(set(pins) for pins, _ in terms))
+    free = {q for pins, _ in terms for q, _ in pins} - {q for q, _ in common}
+    total = np.zeros([2 if n_qubits - 1 - axis in free else 1
+                      for axis in range(n_qubits)])
+    for pins, value in terms:
+        part = total[_pins(n_qubits, [p for p in pins if p not in common])]
+        part += value
+    where, factor = _pins(n_qubits, common), np.exp(scale * total)
+
+    def step(psi, state):
+        view = psi[where]
+        view *= factor
+
+    return step
+
+
+def _matrix_step(n_qubits: int, gate: GateOp):
+    """Real 2x2 update of the target's |0> and |1> halves under the controls."""
     if gate.kind is GateKind.HADAMARD:
-        return _H_MATRIX
-    if gate.kind is GateKind.CNOT:
-        return _X_MATRIX
-    if gate.kind is GateKind.DAMPING:
-        return damping_matrix(gate.param)
-    raise ValueError(f"no single-qubit matrix for {gate.kind}")
+        u00, u01, u10, u11 = _H, _H, _H, -_H
+    else:
+        (u00, u01), (u10, u11) = damping_matrix(gate.param).real
+    lo = _pins(n_qubits, gate.controls + ((gate.target, 0),))
+    hi = _pins(n_qubits, gate.controls + ((gate.target, 1),))
+
+    def step(psi, state):
+        a0, a1 = psi[lo], psi[hi]
+        new0 = u00 * a0
+        new0 += u01 * a1
+        a1 *= u11
+        a1 += u10 * a0
+        a0[...] = new0
+
+    return step
 
 
-def _controlled_indices(n_qubits: int, gate: GateOp) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    sel = np.ones(idx.shape, dtype=bool)
-    for q, v in gate.controls:
-        sel &= ((idx >> q) & 1) == v
-    return idx, sel
+def _exchange_step(n_qubits: int, pins_a, pins_b):
+    """Swap the amplitudes of two equally shaped parts of the register."""
+    ia, ib = _pins(n_qubits, pins_a), _pins(n_qubits, pins_b)
+
+    def step(psi, state):
+        a, b = psi[ia], psi[ib]
+        held = a.copy()
+        a[...] = b
+        b[...] = held
+
+    return step
 
 
-def _apply_gate_inplace(amps: np.ndarray, n_qubits: int, gate: GateOp) -> None:
-    idx, sel = _controlled_indices(n_qubits, gate)
+def _gate_step(n_qubits: int, gate: GateOp):
     if gate.kind is GateKind.SWAP:
         a, b = gate.target, gate.partner
-        sel &= (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 0)
-        i = idx[sel]
-        j = i ^ ((1 << a) | (1 << b))
-        amps[i], amps[j] = amps[j], amps[i].copy()
-        return
-    t = gate.target
-    if gate.kind in (GateKind.PHASE, GateKind.CONTROLLED_PHASE):
-        sel &= ((idx >> t) & 1) == 1
-        amps[idx[sel]] *= np.exp(1j * gate.param)
-        return
-    u = _gate_matrix(gate)
-    sel &= ((idx >> t) & 1) == 0
-    i0 = idx[sel]
-    i1 = i0 | (1 << t)
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+        return _exchange_step(n_qubits, gate.controls + ((a, 1), (b, 0)),
+                              gate.controls + ((a, 0), (b, 1)))
+    if gate.kind is GateKind.CNOT:
+        t = gate.target
+        return _exchange_step(n_qubits, gate.controls + ((t, 0),),
+                              gate.controls + ((t, 1),))
+    return _matrix_step(n_qubits, gate)
 
 
-def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
-    """Apply one gate and return the new state (the input is left untouched)."""
-    Circuit(state.n_qubits, [])._check_gate(gate)
-    out = state.copy()
-    _apply_gate_inplace(out.amplitudes, out.n_qubits, gate)
-    return out
-
-
-def _project_zero_inplace(state: QuantumState, ancilla: int) -> None:
-    idx = np.arange(1 << state.n_qubits)
-    keep = ((idx >> ancilla) & 1) == 0
-    p_zero = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
+def _postselect(psi: np.ndarray, state: QuantumState, ancilla: int) -> None:
+    """Zero the ancilla's |1> half, renormalize, fold the probability into the state."""
+    psi[_pins(state.n_qubits, ((ancilla, 1),))] = 0.0
+    kept = psi[_pins(state.n_qubits, ((ancilla, 0),))]
+    p_zero = float(np.vdot(kept, kept).real)
     if p_zero < _MIN_POSTSELECT_PROB:
         raise ValueError(
             f"postselection impossible: ancilla {ancilla} holds |0> with "
             f"probability {p_zero:.3e}"
         )
-    state.amplitudes[~keep] = 0.0
-    state.amplitudes /= np.sqrt(p_zero)
+    kept /= np.sqrt(p_zero)
     state.success_prob *= min(p_zero, 1.0)
+
+
+def _projected_damping_step(n_qubits: int, gates):
+    """A run of damping gates on one ancilla, each followed by its projection.
+
+    After the first gate and its projection the ancilla is |0>, so each later
+    gate only scales the |0> half by e^-gamma where its controls hold.  The
+    run is therefore one 2x2 update, one real factor tensor and one
+    renormalization; the probability of the whole run is the product of the
+    per-gate ones.
+    """
+    ancilla = gates[0].target
+    first = _matrix_step(n_qubits, gates[0])
+    rest = None
+    if len(gates) > 1:
+        terms = [(g.controls + ((ancilla, 0),), g.param) for g in gates[1:]]
+        rest = _diagonal_step(n_qubits, terms, -1.0)
+
+    def step(psi, state):
+        first(psi, state)
+        if rest is not None:
+            rest(psi, state)
+        _postselect(psi, state, ancilla)
+
+    return step
+
+
+def _compile(circuit: "Circuit", project_ancillas: bool) -> list:
+    """Turn a circuit into steps that act in place on the register tensor.
+
+    Each run of (controlled) phase gates becomes one phase-tensor step.  With
+    ``project_ancillas``, each run of damping gates on one declared ancilla
+    becomes one postselected step.  Every other gate is a step of its own.
+    """
+    n = circuit.n_qubits
+    projected = circuit.ancilla_indices if project_ancillas else frozenset()
+
+    def run_key(gate: GateOp):
+        if gate.kind in _PHASE_KINDS:
+            return "phase"
+        if gate.kind is GateKind.DAMPING and gate.target in projected:
+            return gate.target
+        return None
+
+    steps = []
+    for key, run in itertools.groupby(circuit.gates, run_key):
+        run = list(run)
+        if key is None:
+            steps.extend(_gate_step(n, gate) for gate in run)
+        elif key == "phase":
+            terms = [(g.controls + ((g.target, 1),), g.param) for g in run]
+            steps.append(_diagonal_step(n, terms, 1j))
+        else:
+            steps.append(_projected_damping_step(n, run))
+    return steps
+
+
+def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
+    """Apply one gate and return the new state (the input is left untouched)."""
+    return apply_circuit(state, Circuit(state.n_qubits, [gate]))
 
 
 def project_ancilla_zero(state: QuantumState, ancilla: int) -> QuantumState:
@@ -285,32 +415,28 @@ def project_ancilla_zero(state: QuantumState, ancilla: int) -> QuantumState:
     if not 0 <= ancilla < state.n_qubits:
         raise ValueError(f"ancilla {ancilla} outside register of {state.n_qubits}")
     out = state.copy()
-    _project_zero_inplace(out, ancilla)
+    _postselect(_register(out), out, ancilla)
     return out
 
 
 def apply_circuit(
     state: QuantumState, circuit: Circuit, project_ancillas: bool = True
 ) -> QuantumState:
-    """Run a circuit gate by gate.
+    """Run a circuit through its compiled program.
 
     Damping gates targeting a declared ancilla are followed by an immediate
     |0> projection of that ancilla unless ``project_ancillas`` is False (the
-    fresh-ancilla export path defers all measurements to the end).
+    fresh-ancilla export path defers all measurements to the end).  The
+    program is compiled on first use and cached on the circuit.
     """
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit spans {circuit.n_qubits} qubits but state has {state.n_qubits}"
         )
     out = state.copy()
-    for gate in circuit.gates:
-        _apply_gate_inplace(out.amplitudes, out.n_qubits, gate)
-        if (
-            project_ancillas
-            and gate.kind is GateKind.DAMPING
-            and gate.target in circuit.ancilla_indices
-        ):
-            _project_zero_inplace(out, gate.target)
+    psi = _register(out)
+    for step in circuit._program(project_ancillas):
+        step(psi, out)
     return out
 
 

@@ -15,6 +15,7 @@ from qadvdiff.oracles import (
 from qadvdiff.splitting import (
     RunResult,
     ScenarioConfig,
+    _Stepper,
     commutator_error_estimate,
     decompose_steady_state,
     initial_scalar_field,
@@ -233,6 +234,39 @@ class TestRunScenario:
             run_scenario(config, np.zeros(16))
         with pytest.raises(ValueError, match="qubits"):
             run_scenario(config, QuantumState(3, np.ones(8) / np.sqrt(8.0)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_initial_data_rejected(self, bad):
+        config = make_config()
+        field = initial_scalar_field(config)
+        field[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_scenario(config, field)
+        amps = np.full(16, 0.25, dtype=complex)
+        amps[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_scenario(config, QuantumState(4, amps))
+
+    def test_stage_times_are_reported(self):
+        config = make_config(n_x=4, n_y=2, profile=VelocityProfile.couette(),
+                             diffusivity=0.01, t_final=0.5, n_steps=2)
+        result = run_scenario(config, initial_scalar_field(config))
+        times = result.stage_times_s
+        assert set(times) == {"qft", "advection", "diffusion", "wall"}
+        assert all(value >= 0.0 for value in times.values())
+        assert sum(times.values()) <= result.wall_time_s
+
+    @pytest.mark.parametrize("splitting, merge, built", [
+        ("trotter", False, {"adv_full"}),
+        ("strang", False, {"adv_half"}),
+        ("strang", True, {"adv_full", "adv_half"}),
+    ])
+    def test_only_applied_advection_circuits_are_built(self, splitting, merge, built):
+        config = make_config(n_x=4, n_y=2, profile=VelocityProfile.couette(),
+                             splitting=splitting, merge_strang=merge, checkpoints=1)
+        stepper = _Stepper(config, config.dt)
+        assert {name for name in ("adv_full", "adv_half")
+                if getattr(stepper, name) is not None} == built
 
 
 class TestMergedStrang:

@@ -197,6 +197,11 @@ class TestEncoding:
         with pytest.raises(ValueError, match="zero vector"):
             encode_amplitudes(np.zeros(4))
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf, 0.0, 0.0]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            encode_amplitudes(values)
+
     def test_register_limit_enforced(self, monkeypatch):
         monkeypatch.setenv("QADVDIFF_MAX_QUBITS", "3")
         assert max_qubits() == 3
