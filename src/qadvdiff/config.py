@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .advection import VelocityProfile
-from .splitting import ScenarioConfig
+from .splitting import ScenarioConfig, basis_index
 from .transforms import BoundaryKind
 
 
@@ -177,6 +177,11 @@ def parse_config(text: str) -> RunSettings:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if initial.startswith("basis:"):
+        try:
+            basis_index(scenario, initial)
+        except ValueError as exc:
+            raise ConfigError(f"line {lines['initial']}: {exc}") from None
     return RunSettings(scenario=scenario, initial=initial, reference=reference)
 
 

@@ -24,7 +24,6 @@ from .state import (
     build_fourier_initial_state,
     cnot,
     damping,
-    max_qubits,
     new_state,
     sample_counts,
 )
@@ -49,13 +48,7 @@ def build_demo_circuit(
     Main register holds qubits 0..n-1 (Fourier space until the closing QFT);
     ancillas follow in damping-term order.
     """
-    n_a = demo_ancilla_count(n_qubits)
-    total = n_qubits + n_a
-    if total > max_qubits():
-        raise ValueError(
-            f"demo needs {total} qubits ({n_qubits} main + {n_a} ancillas), "
-            f"limit is {max_qubits()}"
-        )
+    total = n_qubits + demo_ancilla_count(n_qubits)
     ancillas = frozenset(range(n_qubits, total))
     circuit = Circuit(total, ancilla_indices=ancillas)
     circuit.extend(build_fourier_initial_state(n_qubits).gates)
@@ -142,11 +135,8 @@ def run_demo(
 
 def ideal_demo_state(n_qubits: int, alpha: float = DEMO_ALPHA,
                      beta: float = DEMO_BETA) -> QuantumState:
-    """Postselected main-register state, via the fresh-ancilla circuit."""
-    circuit = build_demo_circuit(n_qubits, alpha, beta)
-    joint = apply_circuit(new_state(circuit.n_qubits), circuit)
-    dim = 1 << n_qubits
-    return QuantumState(n_qubits, joint.amplitudes[:dim].copy(), joint.success_prob)
+    """Postselected state of the n main qubits (the ancillas are never stored)."""
+    return apply_circuit(new_state(n_qubits), build_demo_circuit(n_qubits, alpha, beta))
 
 
 def format_circuit_listing(circuit: Circuit) -> str:

@@ -20,7 +20,6 @@ from .state import (
     apply_circuit,
     cnot,
     damping,
-    remap_circuit,
 )
 from .transforms import BoundaryKind, build_qft_circuit
 
@@ -152,25 +151,17 @@ def prepare_gaussian_by_diffusion(n_qubits: int, diffusion_time: float) -> Quant
 
     Runs the full pipeline on a unit-length periodic axis: grid-to-mode
     transform, periodic diffusion with beta = D*t*(2*pi)^2, mode-to-grid
-    transform.  The returned state has the ancilla projected out and carries
-    the postselection probability in ``success_prob``.
+    transform.  The state holds the main register only (the ancilla is never
+    stored) and carries the postselection probability in ``success_prob``.
     """
     if n_qubits < 2:
         raise ValueError(f"need at least 2 qubits, got {n_qubits}")
     if diffusion_time < 0.0:
         raise ValueError(f"diffusion time must be >= 0, got {diffusion_time}")
-    n = 1 << n_qubits
-    amps = np.zeros(2 * n, dtype=np.complex128)
-    amps[n // 2] = 1.0
-    state = QuantumState(n_qubits + 1, amps)
-    ident = {q: q for q in range(n_qubits)}
-    analysis = remap_circuit(build_qft_circuit(n_qubits, inverse=True), ident,
-                             n_qubits + 1)
-    synthesis = remap_circuit(build_qft_circuit(n_qubits), ident, n_qubits + 1)
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[amps.size // 2] = 1.0
     beta = diffusion_time * (2.0 * np.pi) ** 2
-    state = apply_circuit(state, analysis)
+    state = apply_circuit(QuantumState(n_qubits, amps),
+                          build_qft_circuit(n_qubits, inverse=True))
     state = apply_circuit(state, build_periodic_diffusion(n_qubits, beta))
-    state = apply_circuit(state, synthesis)
-    main = state.amplitudes[:n].copy()
-    # ancilla is |0> after projection, so the upper block is empty
-    return QuantumState(n_qubits, main, state.success_prob)
+    return apply_circuit(state, build_qft_circuit(n_qubits))

@@ -32,6 +32,7 @@ from .oracles import profile_row_velocities
 from .state import (
     Circuit,
     QuantumState,
+    _check_register_size,
     apply_circuit,
     remap_circuit,
 )
@@ -132,6 +133,16 @@ def y_coordinates(config: ScenarioConfig) -> np.ndarray | None:
     return np.arange(n) * config.length / (n - 1)
 
 
+def basis_index(config: ScenarioConfig, kind: str) -> int:
+    """The grid index k of the initial condition ``basis:<k>``, checked."""
+    raw, size = kind.split(":", 1)[1].strip(), config.nx_points * config.ny_points
+    if not raw.isdecimal():
+        raise ValueError(f"basis index must be an integer, got {raw!r}")
+    if int(raw) >= size:
+        raise ValueError(f"basis index {raw} outside grid of {size}")
+    return int(raw)
+
+
 def initial_scalar_field(config: ScenarioConfig, kind: str = "gaussian") -> np.ndarray:
     """Canonical initial conditions as a flat main-register vector.
 
@@ -139,13 +150,9 @@ def initial_scalar_field(config: ScenarioConfig, kind: str = "gaussian") -> np.n
     periodic cell, constant across the wall normal; ``uniform`` is all ones;
     ``basis:<k>`` is a single basis state.
     """
-    main_dim = config.nx_points * config.ny_points
     if kind.startswith("basis:"):
-        index = int(kind.split(":", 1)[1])
-        if not 0 <= index < main_dim:
-            raise ValueError(f"basis index {index} outside grid of {main_dim}")
-        vec = np.zeros(main_dim)
-        vec[index] = 1.0
+        vec = np.zeros(config.nx_points * config.ny_points)
+        vec[basis_index(config, kind)] = 1.0
         return vec
     x = x_coordinates(config)
     if kind == "gaussian":
@@ -165,8 +172,8 @@ def initial_scalar_field(config: ScenarioConfig, kind: str = "gaussian") -> np.n
 class RunResult:
     """Outcome of run_scenario.
 
-    ``final_state`` covers the main register only (ancilla projected out and
-    dropped); ``checkpoint_states`` maps step indices to normalized field
+    ``final_state`` covers the main register (the damping ancilla is never
+    stored); ``checkpoint_states`` maps step indices to normalized field
     vectors.  ``stage_times_s`` holds the seconds spent in each stage
     category (``qft``, ``advection``, ``diffusion`` and the wall-normal
     DCT/DST ``wall``).
@@ -184,8 +191,8 @@ class RunResult:
 
 
 class _Stage(NamedTuple):
-    """A circuit widened onto the full register, with the gate totals that
-    one application of it adds."""
+    """A circuit widened onto the main register plus its own ancillas, with
+    the gate totals that one application of it adds."""
 
     circuit: Circuit
     category: str
@@ -199,8 +206,7 @@ class _Stepper:
     def __init__(self, config: ScenarioConfig, dt: float):
         self.config = config
         n_x, n_y = config.n_x, config.n_y
-        self.n_total = n_x + n_y + 1
-        self.ancilla = n_x + n_y
+        self.n_main = n_x + n_y
         self.y_qubits = list(range(n_x, n_x + n_y))
         self.counts = {
             key: {"controlled": 0, "two_qubit": 0}
@@ -232,7 +238,7 @@ class _Stepper:
             n_x, config.diffusivity, dt, config.length, BoundaryKind.PERIODIC
         ).beta
         map_x = dict(widen_x)
-        map_x[n_x] = self.ancilla
+        map_x[n_x] = self.n_main
         self.diff_x = self._stage(
             build_periodic_diffusion(n_x, beta_x), map_x, "diffusion"
         )
@@ -245,7 +251,7 @@ class _Stepper:
                 n_y, config.diffusivity, dt, config.length, config.bc_y
             ).beta
             map_y = {q: n_x + q for q in range(n_y)}
-            map_y[n_y] = self.ancilla
+            map_y[n_y] = self.n_main
             if config.bc_y is BoundaryKind.PERIODIC:
                 self.y_fwd = self._stage(
                     build_qft_circuit(n_y, inverse=True), map_y, "qft"
@@ -257,7 +263,8 @@ class _Stepper:
             self.diff_y = self._stage(diff_y, map_y, "diffusion")
 
     def _stage(self, circuit: Circuit, mapping: dict[int, int], category: str) -> _Stage:
-        wide = remap_circuit(circuit, mapping, self.n_total)
+        n_total = self.n_main + len(circuit.ancilla_indices)
+        wide = remap_circuit(circuit, mapping, n_total)
         return _Stage(wide, category, count_controlled_gates(wide),
                       count_two_qubit_gates(wide))
 
@@ -330,27 +337,28 @@ class _Stepper:
         return out
 
 
-def _coerce_initial(config: ScenarioConfig, initial) -> np.ndarray:
-    main_dim = config.nx_points * config.ny_points
+def _coerce_initial(config: ScenarioConfig, initial) -> QuantumState:
+    """The initial field or state as a normalized main-register state."""
+    n_main, main_dim = config.n_x + config.n_y, config.nx_points * config.ny_points
+    _check_register_size(n_main)
     if isinstance(initial, QuantumState):
-        if initial.n_qubits != config.n_x + config.n_y:
+        if initial.n_qubits != n_main:
             raise ValueError(
-                f"initial state has {initial.n_qubits} qubits, scenario needs "
-                f"{config.n_x + config.n_y}"
+                f"initial state has {initial.n_qubits} qubits, scenario needs {n_main}"
             )
-        arr, norm = initial.amplitudes, 1.0  # a state is used as given
+        arr = initial.amplitudes
     else:
         arr = np.asarray(initial, dtype=np.complex128)
         if arr.ndim == 2:
             arr = arr.reshape(-1, order="F")
         if arr.size != main_dim:
             raise ValueError(f"initial field has {arr.size} entries, grid has {main_dim}")
-        norm = np.linalg.norm(arr)
     if not np.all(np.isfinite(arr)):
         raise ValueError("initial field holds non-finite values")
+    norm = np.linalg.norm(arr)
     if norm == 0.0:
         raise ValueError("initial field is identically zero")
-    return arr / norm
+    return QuantumState(n_main, arr / norm)
 
 
 def _checkpoint_steps(config: ScenarioConfig) -> list[int]:
@@ -358,13 +366,6 @@ def _checkpoint_steps(config: ScenarioConfig) -> list[int]:
     for k in range(1, config.checkpoints):
         marks.add((k * config.n_steps) // config.checkpoints)
     return sorted(marks)
-
-
-def with_ancilla(config: ScenarioConfig, initial) -> QuantumState:
-    """Embed a main-register field into the full register with the ancilla |0>."""
-    main = _coerce_initial(config, initial)
-    amps = np.concatenate([main, np.zeros_like(main)])
-    return QuantumState(config.n_x + config.n_y + 1, amps)
 
 
 def run_scenario(
@@ -384,28 +385,24 @@ def run_scenario(
             "merged Strang half-steps leave no exact intermediate states; "
             "disable merge_strang or set checkpoints = 1"
         )
-    state = with_ancilla(config, initial)
-    main_dim = config.nx_points * config.ny_points
-    checkpoints = [(0, state.amplitudes[:main_dim].copy())]
+    state = _coerce_initial(config, initial)
+    checkpoints = [(0, state.amplitudes.copy())]
     success_history = []
     stepper = _Stepper(config, config.dt)
     for i in range(1, config.n_steps + 1):
         state = stepper.step(state, first=(i == 1), last=(i == config.n_steps))
         success_history.append(state.success_prob)
         if i in steps and i > 0:
-            checkpoints.append((i, state.amplitudes[:main_dim].copy()))
-    final = QuantumState(
-        config.n_x + config.n_y, state.amplitudes[:main_dim].copy(), state.success_prob
-    )
+            checkpoints.append((i, state.amplitudes.copy()))
     error_norms = {}
     if references:
         from .oracles import error_norm
 
         for name, vec in references.items():
-            error_norms[name] = error_norm(final.amplitudes, vec)
+            error_norms[name] = error_norm(state.amplitudes, vec)
     return RunResult(
         config=config,
-        final_state=final,
+        final_state=state,
         success_prob=state.success_prob,
         success_prob_history=success_history,
         checkpoint_states=checkpoints,

@@ -6,6 +6,12 @@ Non-unitary damping blocks are realised with an ancilla qubit that is projected
 back onto ``|0>``; the accumulated postselection probability is tracked on the
 state as ``success_prob``.
 
+The register rule: with ``project_ancillas=True`` a state holds only the
+circuit's main qubits.  The declared ancillas must be the top qubits, touched
+only by damping gates that target them; each is a fresh |0> never stored.
+With ``project_ancillas=False`` (the deferred-measurement demo) a state holds
+every qubit.
+
 Circuits run through one compiled engine.  The first time ``apply_circuit``
 runs a circuit it compiles the gate list into a short program of in-place
 steps and caches it on the circuit, once per ``project_ancillas`` value;
@@ -17,14 +23,13 @@ views of the register; no index or mask array over the register is built.
 - A run of consecutive phase and controlled-phase gates becomes one phase
   tensor over the qubits the run touches, broadcast onto the register.
 - With projection on, a run of consecutive damping gates on one declared
-  ancilla, each followed by its |0> projection, becomes one step: a 2x2
-  update for the first gate, after which the ancilla's |1> half is zeroed,
-  one real factor tensor for the rest, and one renormalization whose
-  probability multiplies ``success_prob``.  A run whose probability is below
-  1e-300 raises ``postselection impossible``.
+  ancilla becomes one step: one real factor tensor exp(-sum gamma) on the
+  main register and one renormalization whose probability multiplies
+  ``success_prob``.  A run whose probability is below 1e-300 raises
+  ``postselection impossible``.
 - Hadamard, CNOT, swap and unprojected damping gates are one step each.
 
-``apply_gate`` and ``project_ancilla_zero`` use the same steps.
+``apply_gate`` runs through the same steps.
 """
 
 from __future__ import annotations
@@ -130,9 +135,9 @@ def swap(a: int, b: int) -> GateOp:
 class Circuit:
     """Ordered gate list over ``n_qubits`` qubits.
 
-    ``ancilla_indices`` marks qubits holding damping ancillas: apply_circuit
-    projects such a qubit back onto |0> right after each damping gate that
-    targets it.
+    ``ancilla_indices`` marks the damping ancillas, the top qubits: with
+    projection on, apply_circuit never stores them and projects each back onto
+    |0> right after each damping gate that targets it.
     """
 
     n_qubits: int
@@ -335,10 +340,8 @@ def _gate_step(n_qubits: int, gate: GateOp):
     return _matrix_step(n_qubits, gate)
 
 
-def _postselect(psi: np.ndarray, state: QuantumState, ancilla: int) -> None:
-    """Zero the ancilla's |1> half, renormalize, fold the probability into the state."""
-    psi[_pins(state.n_qubits, ((ancilla, 1),))] = 0.0
-    kept = psi[_pins(state.n_qubits, ((ancilla, 0),))]
+def _renormalize(kept: np.ndarray, state: QuantumState, ancilla: int) -> None:
+    """Normalize the kept |0> branch and fold its probability into the state."""
     p_zero = float(np.vdot(kept, kept).real)
     if p_zero < _MIN_POSTSELECT_PROB:
         raise ValueError(
@@ -350,26 +353,19 @@ def _postselect(psi: np.ndarray, state: QuantumState, ancilla: int) -> None:
 
 
 def _projected_damping_step(n_qubits: int, gates):
-    """A run of damping gates on one ancilla, each followed by its projection.
+    """A run of damping gates on one unstored ancilla, each followed by its projection.
 
-    After the first gate and its projection the ancilla is |0>, so each later
-    gate only scales the |0> half by e^-gamma where its controls hold.  The
-    run is therefore one 2x2 update, one real factor tensor and one
-    renormalization; the probability of the whole run is the product of the
-    per-gate ones.
+    The ancilla is a fresh |0>, so a damping gate and its projection scale the
+    main register by e^-gamma where the gate's controls hold.  The run is one
+    real factor tensor and one renormalization; the probability of the whole
+    run is the product of the per-gate ones.
     """
     ancilla = gates[0].target
-    first = _matrix_step(n_qubits, gates[0])
-    rest = None
-    if len(gates) > 1:
-        terms = [(g.controls + ((ancilla, 0),), g.param) for g in gates[1:]]
-        rest = _diagonal_step(n_qubits, terms, -1.0)
+    scale = _diagonal_step(n_qubits, [(g.controls, g.param) for g in gates], -1.0)
 
     def step(psi, state):
-        first(psi, state)
-        if rest is not None:
-            rest(psi, state)
-        _postselect(psi, state, ancilla)
+        scale(psi, state)
+        _renormalize(psi, state, ancilla)
 
     return step
 
@@ -378,11 +374,25 @@ def _compile(circuit: "Circuit", project_ancillas: bool) -> list:
     """Turn a circuit into steps that act in place on the register tensor.
 
     Each run of (controlled) phase gates becomes one phase-tensor step.  With
-    ``project_ancillas``, each run of damping gates on one declared ancilla
-    becomes one postselected step.  Every other gate is a step of its own.
+    ``project_ancillas``, the ancillas are left out of the register and each
+    run of damping gates on one becomes one postselected step; an ancilla
+    below the top or touched other than as a damping target raises.  Every
+    other gate is a step of its own.
     """
-    n = circuit.n_qubits
     projected = circuit.ancilla_indices if project_ancillas else frozenset()
+    n = circuit.n_qubits - len(projected)
+    if n < 1 or projected != frozenset(range(n, circuit.n_qubits)):
+        raise ValueError(
+            f"projected ancillas {sorted(projected)} must be the top qubits of "
+            f"the {circuit.n_qubits}-qubit register, above at least one main qubit"
+        )
+    for gate in circuit.gates:
+        touched = {q for q, _ in gate.controls} | {gate.partner}
+        if gate.kind is not GateKind.DAMPING:
+            touched.add(gate.target)
+        if touched & projected:
+            raise ValueError(f"{gate} touches a projected ancilla other than "
+                             f"as a damping target (use project_ancillas=False)")
 
     def run_key(gate: GateOp):
         if gate.kind in _PHASE_KINDS:
@@ -415,7 +425,9 @@ def project_ancilla_zero(state: QuantumState, ancilla: int) -> QuantumState:
     if not 0 <= ancilla < state.n_qubits:
         raise ValueError(f"ancilla {ancilla} outside register of {state.n_qubits}")
     out = state.copy()
-    _postselect(_register(out), out, ancilla)
+    psi = _register(out)
+    psi[_pins(out.n_qubits, ((ancilla, 1),))] = 0.0
+    _renormalize(psi[_pins(out.n_qubits, ((ancilla, 0),))], out, ancilla)
     return out
 
 
@@ -424,18 +436,23 @@ def apply_circuit(
 ) -> QuantumState:
     """Run a circuit through its compiled program.
 
-    Damping gates targeting a declared ancilla are followed by an immediate
-    |0> projection of that ancilla unless ``project_ancillas`` is False (the
-    fresh-ancilla export path defers all measurements to the end).  The
-    program is compiled on first use and cached on the circuit.
+    With ``project_ancillas`` (the default) the state holds only the main
+    qubits and each ancilla, never stored, is projected onto |0> after each
+    damping gate on it; with False the state holds every qubit and nothing is
+    projected (the fresh-ancilla export defers all measurements to the end).
+    The program is compiled on first use and cached on the circuit.
     """
-    if circuit.n_qubits != state.n_qubits:
+    program = circuit._program(project_ancillas)
+    unstored = len(circuit.ancilla_indices) if project_ancillas else 0
+    if state.n_qubits != circuit.n_qubits - unstored:
         raise ValueError(
-            f"circuit spans {circuit.n_qubits} qubits but state has {state.n_qubits}"
+            f"circuit spans {circuit.n_qubits} qubits with {unstored} unstored "
+            f"ancillas, so the state needs {circuit.n_qubits - unstored} qubits, "
+            f"got {state.n_qubits}"
         )
     out = state.copy()
     psi = _register(out)
-    for step in circuit._program(project_ancillas):
+    for step in program:
         step(psi, out)
     return out
 

@@ -243,26 +243,20 @@ def _circuit_axis_evolution(vec, kind, alpha, beta) -> QuantumState:
     from qadvdiff.transforms import apply_qct, apply_qst
 
     n_qubits = int(np.log2(vec.size))
-    amps = np.concatenate([vec, np.zeros_like(vec)])
-    state = QuantumState(n_qubits + 1, amps.copy())
-    widen = {q: q for q in range(n_qubits)}
+    state = QuantumState(n_qubits, np.array(vec, dtype=complex))
     if kind is BoundaryKind.PERIODIC:
-        state = apply_circuit(state, remap_circuit(
-            build_qft_circuit(n_qubits, inverse=True), widen, n_qubits + 1))
-        state = apply_circuit(state, remap_circuit(
-            build_uniform_advection(n_qubits, alpha), widen, n_qubits + 1))
+        state = apply_circuit(state, build_qft_circuit(n_qubits, inverse=True))
+        state = apply_circuit(state, build_uniform_advection(n_qubits, alpha))
         state = apply_circuit(state,
                               build_periodic_diffusion(n_qubits, beta))
-        state = apply_circuit(state, remap_circuit(
-            build_qft_circuit(n_qubits), widen, n_qubits + 1))
+        state = apply_circuit(state, build_qft_circuit(n_qubits))
     else:
         forward = apply_qct if kind is BoundaryKind.NEUMANN else apply_qst
         state = forward(state, range(n_qubits))
         state = apply_circuit(
             state, build_halfspectrum_diffusion(n_qubits, beta, kind))
         state = forward(state, range(n_qubits), inverse=True)
-    return QuantumState(n_qubits, state.amplitudes[: vec.size].copy(),
-                        state.success_prob)
+    return state
 
 
 def test_criterion_7_hardware_demo():

@@ -123,6 +123,18 @@ class TestRun:
         assert "line 3" in capsys.readouterr().err
         assert not list(tmp_path.rglob("field_*.csv"))
 
+    @pytest.mark.parametrize("index", ["xyz", "99"])
+    def test_bad_basis_index_fails_before_writing(self, tmp_path, capsys, index):
+        path = tmp_path / "basis.cfg"
+        path.write_text("n_x = 2\nn_y = 2\nprofile = uniform\nD = 0.08\n"
+                        f"initial = basis:{index}\nt_final = 1.0\nreference = none\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(path), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 5" in err and "basis.cfg" in err and "basis index" in err
+        assert not list(tmp_path.rglob("field_*.csv"))
+
 
 class TestConverge:
     def test_grid_sweep_writes_slope_footer(self, pulse_cfg, tmp_path):

@@ -120,6 +120,22 @@ class TestErrors:
     def test_non_finite_numbers_report_line(self, line):
         self.expect(f"n_x = 3\n{line}\n", r"line 2: .*finite")
 
+    @pytest.mark.parametrize("index, needle", [
+        ("xyz", "must be an integer, got 'xyz'"),
+        ("-1", "must be an integer, got '-1'"),
+        ("2.0", "must be an integer"),
+        ("8", "8 outside grid of 8"),
+        ("99", "99 outside grid of 8"),
+    ], ids=["letters", "negative", "decimal", "one_past_end", "far_outside"])
+    def test_basis_index_checked_with_line(self, index, needle):
+        prefix = "n_x = 3\nprofile = uniform\nD = 0.1\nt_final = 1.0\n"
+        self.expect(prefix + f"initial = basis:{index}\n",
+                    rf"line 5: basis index.*{needle}")
+
+    def test_basis_index_on_the_grid_accepted(self):
+        text = "n_x = 2\nn_y = 1\nprofile = uniform\nD = 0.1\nt_final = 1.0\n"
+        assert parse_config(text + "initial = basis:7\n").initial == "basis:7"
+
     def test_unknown_profile_name(self):
         self.expect("n_x = 3\nprofile = vortex\nD = 0.1\nt_final = 1.0\n",
                     "vortex")

@@ -67,6 +67,14 @@ class TestIdealProfile:
                         block / np.linalg.norm(block), atol=1e-13)
         assert_allclose(state.success_prob, 0.75, atol=1e-12)
 
+    def test_qubit_cap_counts_the_stored_register(self, monkeypatch):
+        # the projected state stores 3 qubits; the deferred-measurement run
+        # stores all 3 + 6
+        monkeypatch.setenv("QADVDIFF_MAX_QUBITS", "3")
+        assert ideal_demo_state(3).n_qubits == 3
+        with pytest.raises(ValueError, match="register of 9 qubits exceeds"):
+            run_demo(3, shots=1, seed=0)
+
     def test_joint_block_is_real(self):
         circuit = build_demo_circuit(3)
         joint = apply_circuit(new_state(circuit.n_qubits), circuit,

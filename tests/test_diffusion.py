@@ -26,10 +26,9 @@ def signed_modes(n_points: int) -> np.ndarray:
 
 
 def apply_with_fresh_ancilla(circuit, vec):
-    amps = np.zeros(2 * vec.size, dtype=np.complex128)
-    amps[: vec.size] = vec
-    out = apply_circuit(QuantumState(circuit.n_qubits, amps), circuit)
-    return out.amplitudes[: vec.size], out.success_prob
+    amps = np.array(vec, dtype=np.complex128)
+    out = apply_circuit(QuantumState(circuit.n_qubits - 1, amps), circuit)
+    return out.amplitudes, out.success_prob
 
 
 class TestDampingTerms:

@@ -30,12 +30,23 @@ from qadvdiff.transforms import BoundaryKind, build_qft_circuit
 TOL = 1e-13
 
 
-def assert_matches_reference(circuit: Circuit, seed: int) -> None:
-    vec = random_state_vector(circuit.n_qubits, seed)
-    for project in (True, False):
-        expected, success = reference_apply(circuit, vec, project)
-        out = apply_circuit(QuantumState(circuit.n_qubits, vec.copy()), circuit, project)
-        assert_allclose(out.amplitudes, expected, rtol=0, atol=TOL)
+def assert_matches_reference(circuit: Circuit, seed: int,
+                             projections=(True, False)) -> None:
+    """The engine against dense execution, with and without projection.
+
+    With projection on, the engine runs on a main-register state and the
+    reference on that state with every ancilla (the top qubits) in |0>; the
+    reference's ancilla half must stay empty and its main block must match.
+    """
+    for project in projections:
+        n_main = circuit.n_qubits - (len(circuit.ancilla_indices) if project else 0)
+        vec = random_state_vector(n_main, seed)
+        joint = np.zeros(1 << circuit.n_qubits, dtype=complex)
+        joint[:vec.size] = vec
+        expected, success = reference_apply(circuit, joint, project)
+        out = apply_circuit(QuantumState(n_main, vec.copy()), circuit, project)
+        assert_allclose(expected[vec.size:], 0.0, rtol=0, atol=TOL)
+        assert_allclose(out.amplitudes, expected[:vec.size], rtol=0, atol=TOL)
         assert_allclose(out.success_prob, success, rtol=0, atol=TOL)
 
 
@@ -108,8 +119,39 @@ def test_gates_pinning_every_qubit(gates, ancillas):
     n_qubits = 1 + max(max(g.target, *(q for q, _ in g.controls),
                            g.partner or 0) for g in gates)
     circuit = Circuit(n_qubits, list(gates), frozenset(ancillas))
+    # Both cases with an ancilla also touch it with other gates, which only
+    # the unprojected path runs.
     for seed in range(3):
-        assert_matches_reference(circuit, seed)
+        assert_matches_reference(circuit, seed, (False,) if ancillas else (True, False))
+    if ancillas:
+        state = QuantumState(n_qubits, random_state_vector(n_qubits, 0))
+        with pytest.raises(ValueError, match="projected ancilla"):
+            apply_circuit(state, circuit)
+
+
+@pytest.mark.parametrize("n_qubits, gates, ancilla", [
+    (2, [damping(0, 0.3, controls=((1, 1),))], 0),
+    (3, [damping(2, 0.3), phase(0, 0.5, controls=((2, 1),))], 2),
+    (3, [damping(2, 0.3, controls=((0, 1),)), damping(1, 0.2, controls=((2, 1),))], 2),
+    (2, [hadamard(1), damping(1, 0.3, controls=((0, 1),))], 1),
+    (2, [damping(1, 0.3, controls=((0, 1),)), swap(0, 1)], 1),
+    (2, [cnot(0, 1)], 1),
+], ids=["below_top", "control", "damping_control", "hadamard", "swap", "cnot_target"])
+def test_projection_rejects_touched_or_low_ancillas(n_qubits, gates, ancilla):
+    circuit = Circuit(n_qubits, gates, frozenset({ancilla}))
+    for size in (n_qubits - 1, n_qubits):
+        state = QuantumState(size, random_state_vector(size, 4))
+        with pytest.raises(ValueError, match="projected ancilla"):
+            apply_circuit(state, circuit)
+    assert_matches_reference(circuit, seed=4, projections=(False,))
+
+
+def test_projection_rejects_a_joint_size_state():
+    circuit = build_periodic_diffusion(2, 0.3)
+    state = QuantumState(3, random_state_vector(3, 5))
+    with pytest.raises(ValueError, match="needs 2 qubits, got 3"):
+        apply_circuit(state, circuit)
+    assert apply_circuit(state, circuit, project_ancillas=False).n_qubits == 3
 
 
 def test_extending_a_circuit_recompiles_it():

@@ -226,6 +226,32 @@ class TestRunScenario:
         assert_allclose(by_state.final_state.amplitudes,
                         by_array.final_state.amplitudes, atol=1e-14)
 
+    def test_quantum_state_input_is_normalized(self):
+        config = make_config(n_steps=2, checkpoints=2)
+        field = initial_scalar_field(config)
+        unit = QuantumState(4, field.astype(complex) / np.linalg.norm(field))
+        scaled = QuantumState(4, 3.0 * unit.amplitudes)
+        by_unit, by_scaled = run_scenario(config, unit), run_scenario(config, scaled)
+        assert_allclose(by_scaled.success_prob, by_unit.success_prob, rtol=1e-14)
+        assert_allclose(by_scaled.final_state.amplitudes,
+                        by_unit.final_state.amplitudes, atol=1e-14)
+        for (_, got), (_, want) in zip(by_scaled.checkpoint_states,
+                                       by_unit.checkpoint_states):
+            assert_allclose(got, want, atol=1e-14)
+
+    def test_zero_quantum_state_rejected(self):
+        with pytest.raises(ValueError, match="initial field is identically zero"):
+            run_scenario(make_config(), QuantumState(4, np.zeros(16, dtype=complex)))
+
+    def test_qubit_cap_counts_the_main_register_only(self, monkeypatch):
+        monkeypatch.setenv("QADVDIFF_MAX_QUBITS", "4")
+        config = make_config()
+        result = run_scenario(config, initial_scalar_field(config))
+        assert result.final_state.n_qubits == 4
+        wide = make_config(n_x=5)
+        with pytest.raises(ValueError, match="exceeds"):
+            run_scenario(wide, initial_scalar_field(wide))
+
     def test_bad_initial_shapes_rejected(self):
         config = make_config()
         with pytest.raises(ValueError, match="entries"):

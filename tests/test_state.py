@@ -141,7 +141,7 @@ class TestCircuitApplication:
         circuit = Circuit(2, ancilla_indices=frozenset({1}))
         circuit.add(hadamard(0))
         circuit.add(damping(1, 1.0, controls=((0, 1),)))
-        state = apply_circuit(new_state(2), circuit)
+        state = apply_circuit(new_state(1), circuit)
         expected = np.array([1.0, np.exp(-1.0)]) / np.sqrt(2.0)
         expected /= np.linalg.norm(expected)
         assert_allclose(state.amplitudes[:2], expected, atol=1e-15)
