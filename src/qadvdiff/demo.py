@@ -7,10 +7,18 @@ applies one periodic diffusion step that halves the j = +-1 modes
 QFT.  Unlike the simulation path, every damping factor gets its own fresh
 ancilla so the whole sequence can run before any measurement; postselecting
 all ancillas on |0> succeeds with probability 3/4.
+
+The deferred-measurement joint state depends only on (n, alpha, beta), so
+``_joint_state`` keeps the last one it simulated (an LRU cache of one entry
+keyed by (n, alpha, beta), read-only amplitudes) and ``run_demo`` samples
+every seed of a repeated experiment from it.  Only registers of at most
+``_JOINT_MEMO_MAX_QUBITS`` (20, the n = 5 demo, 16 MB) are kept; larger ones
+are simulated on each call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,7 @@ from .diffusion import periodic_damping_terms
 from .state import (
     Circuit,
     QuantumState,
+    _check_register_size,
     apply_circuit,
     build_fourier_initial_state,
     cnot,
@@ -31,6 +40,7 @@ from .transforms import build_qft_circuit
 
 DEMO_ALPHA = -np.pi / 2.0
 DEMO_BETA = float(np.log(2.0))
+_JOINT_MEMO_MAX_QUBITS = 20
 
 
 def demo_ancilla_count(n_qubits: int) -> int:
@@ -80,6 +90,15 @@ def three_sigma_band(probs: np.ndarray, counts: np.ndarray, shots: int):
     return sampled, lo, hi, inside
 
 
+@functools.lru_cache(maxsize=1)
+def _joint_state(n_qubits: int, alpha: float, beta: float) -> QuantumState:
+    """The demo circuit run on every qubit with no projection, read-only."""
+    circuit = build_demo_circuit(n_qubits, alpha, beta)
+    joint = apply_circuit(new_state(circuit.n_qubits), circuit, project_ancillas=False)
+    joint.amplitudes.flags.writeable = False
+    return joint
+
+
 @dataclass
 class DemoResult:
     """Ideal and sampled views of one demo execution."""
@@ -107,12 +126,18 @@ def run_demo(
     a hardware run that measures every qubit; shots with any ancilla reading 1
     are discarded by keeping only the first 2^n joint indices.  Reported
     amplitudes are therefore unnormalized (their squared norm is the success
-    probability); see three_sigma_band for the bands.
+    probability); see three_sigma_band for the bands.  The last joint state
+    of at most _JOINT_MEMO_MAX_QUBITS qubits is kept for the next call with
+    the same (n, alpha, beta); the circuit is built anew on each call.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     circuit = build_demo_circuit(n_qubits, alpha, beta)
-    joint = apply_circuit(new_state(circuit.n_qubits), circuit, project_ancillas=False)
+    _check_register_size(circuit.n_qubits)
+    if circuit.n_qubits <= _JOINT_MEMO_MAX_QUBITS:
+        joint = _joint_state(n_qubits, alpha, beta)
+    else:
+        joint = _joint_state.__wrapped__(n_qubits, alpha, beta)
     dim = 1 << n_qubits
     block = joint.amplitudes[:dim]
     if np.max(np.abs(block.imag)) > 1e-10:

@@ -6,10 +6,22 @@ advection operator (diagonal after the streamwise Fourier transform) and the
 two one-axis diffusion operators (diagonal in their mode bases, mutually
 commuting).  Lie-Trotter applies advection then diffusion once per step;
 Strang symmetrises with half advection on both sides.
+
+Each QFT and damping stage is built, widened onto the main register and
+compiled once per process: ``_shared_stage`` memoizes it in an LRU cache of
+``_STAGE_MEMO_SIZE`` (16) entries keyed by the stage's category, its builder
+function, the builder's arguments, the qubit offset of the widening and the
+main register size.  A QFT stage depends on the register sizes only, so every
+run of one grid shares it; a damping stage depends on dt, so the Trotter and
+Strang runs of one ``converge`` row share it.  These stages hold tensors over
+one axis only.  An advection stage holds a phase tensor the size of the main
+register and changes with dt and U, so each run builds its own and drops it
+when it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -200,48 +212,64 @@ class _Stage(NamedTuple):
     two_qubit: int
 
 
+_STAGE_MEMO_SIZE = 16
+
+
+def _build_stage(category: str, builder, offset: int, n_main: int, *args) -> _Stage:
+    """The circuit ``builder(*args)`` widened onto the main register, compiled.
+
+    Its main qubits move up by ``offset`` and its ancillas to the top, above
+    the ``n_main`` main qubits.
+    """
+    circuit = builder(*args)
+    n_anc = len(circuit.ancilla_indices)
+    n_own = circuit.n_qubits - n_anc
+    if offset or n_own != n_main:
+        mapping = {q: offset + q for q in range(n_own)}
+        mapping.update({n_own + i: n_main + i for i in range(n_anc)})
+        circuit = remap_circuit(circuit, mapping, n_main + n_anc)
+    circuit._program(True)
+    return _Stage(circuit, category, count_controlled_gates(circuit),
+                  count_two_qubit_gates(circuit))
+
+
+_shared_stage = functools.lru_cache(maxsize=_STAGE_MEMO_SIZE)(_build_stage)
+
+
 class _Stepper:
-    """Precompiled circuits for one splitting step at a fixed dt."""
+    """The compiled stages of one splitting step at a fixed dt."""
 
     def __init__(self, config: ScenarioConfig, dt: float):
         self.config = config
         n_x, n_y = config.n_x, config.n_y
-        self.n_main = n_x + n_y
-        self.y_qubits = list(range(n_x, n_x + n_y))
+        n_main = n_x + n_y
+        self.y_qubits = list(range(n_x, n_main))
         self.counts = {
             key: {"controlled": 0, "two_qubit": 0}
             for key in ("qft", "advection", "diffusion")
         }
         self.times = dict.fromkeys(("qft", "advection", "diffusion", "wall"), 0.0)
 
-        widen_x = {q: q for q in range(n_x)}
-        self.qft_fwd = self._stage(build_qft_circuit(n_x, inverse=True), widen_x, "qft")
-        self.qft_bwd = self._stage(build_qft_circuit(n_x), widen_x, "qft")
+        self.qft_fwd = _shared_stage("qft", build_qft_circuit, 0, n_main, n_x, True)
+        self.qft_bwd = _shared_stage("qft", build_qft_circuit, 0, n_main, n_x, False)
 
         # Trotter applies only full advection steps, unmerged Strang only
-        # half steps; merged Strang needs both.
+        # half steps; merged Strang needs both.  They are not kept (see the
+        # module docstring).
         alpha = 2.0 * np.pi * config.velocity_scale * dt / config.length
-        widen_xy = {q: q for q in range(n_x + n_y)}
         self.adv_full = self.adv_half = None
         if config.splitting == "trotter" or config.merge_strang:
-            self.adv_full = self._stage(
-                build_shear_advection(n_x, n_y, alpha, config.profile),
-                widen_xy, "advection",
-            )
+            self.adv_full = _build_stage("advection", build_shear_advection, 0,
+                                         n_main, n_x, n_y, alpha, config.profile)
         if config.splitting == "strang":
-            self.adv_half = self._stage(
-                build_shear_advection(n_x, n_y, 0.5 * alpha, config.profile),
-                widen_xy, "advection",
-            )
+            self.adv_half = _build_stage("advection", build_shear_advection, 0,
+                                         n_main, n_x, n_y, 0.5 * alpha, config.profile)
 
         beta_x = DiffusionParams.from_physical(
             n_x, config.diffusivity, dt, config.length, BoundaryKind.PERIODIC
         ).beta
-        map_x = dict(widen_x)
-        map_x[n_x] = self.n_main
-        self.diff_x = self._stage(
-            build_periodic_diffusion(n_x, beta_x), map_x, "diffusion"
-        )
+        self.diff_x = _shared_stage("diffusion", build_periodic_diffusion, 0, n_main,
+                                    n_x, beta_x)
 
         self.y_fwd = None
         self.y_bwd = None
@@ -250,23 +278,16 @@ class _Stepper:
             beta_y = DiffusionParams.from_physical(
                 n_y, config.diffusivity, dt, config.length, config.bc_y
             ).beta
-            map_y = {q: n_x + q for q in range(n_y)}
-            map_y[n_y] = self.n_main
             if config.bc_y is BoundaryKind.PERIODIC:
-                self.y_fwd = self._stage(
-                    build_qft_circuit(n_y, inverse=True), map_y, "qft"
-                )
-                self.y_bwd = self._stage(build_qft_circuit(n_y), map_y, "qft")
-                diff_y = build_periodic_diffusion(n_y, beta_y)
+                self.y_fwd = _shared_stage("qft", build_qft_circuit, n_x, n_main,
+                                           n_y, True)
+                self.y_bwd = _shared_stage("qft", build_qft_circuit, n_x, n_main,
+                                           n_y, False)
+                self.diff_y = _shared_stage("diffusion", build_periodic_diffusion,
+                                            n_x, n_main, n_y, beta_y)
             else:
-                diff_y = build_halfspectrum_diffusion(n_y, beta_y, config.bc_y)
-            self.diff_y = self._stage(diff_y, map_y, "diffusion")
-
-    def _stage(self, circuit: Circuit, mapping: dict[int, int], category: str) -> _Stage:
-        n_total = self.n_main + len(circuit.ancilla_indices)
-        wide = remap_circuit(circuit, mapping, n_total)
-        return _Stage(wide, category, count_controlled_gates(wide),
-                      count_two_qubit_gates(wide))
+                self.diff_y = _shared_stage("diffusion", build_halfspectrum_diffusion,
+                                            n_x, n_main, n_y, beta_y, config.bc_y)
 
     def _apply(self, state: QuantumState, stage: _Stage) -> QuantumState:
         counts = self.counts[stage.category]

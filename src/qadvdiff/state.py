@@ -35,6 +35,7 @@ views of the register; no index or mask array over the register is built.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -71,6 +72,9 @@ class GateKind(str, Enum):
     SWAP = "swap"
 
 
+_PHASE_KINDS = (GateKind.PHASE, GateKind.CONTROLLED_PHASE)
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a kind, a target qubit, (qubit, value) controls and a parameter.
@@ -103,6 +107,10 @@ class GateOp:
             raise ValueError("cnot takes exactly one control")
         if self.kind is GateKind.CONTROLLED_PHASE and not self.controls:
             raise ValueError("controlled phase needs at least one control")
+        if math.isnan(self.param):
+            raise ValueError(f"gate parameter must not be NaN: {self}")
+        if self.kind in _PHASE_KINDS and math.isinf(self.param):
+            raise ValueError(f"phase angle must be finite, got {self.param}")
         if self.kind is GateKind.DAMPING and self.param < 0.0:
             raise ValueError(
                 f"damping exponent must be >= 0 (amplification is not "
@@ -192,6 +200,13 @@ class QuantumState:
     amplitudes: np.ndarray
     success_prob: float = 1.0
 
+    def __post_init__(self) -> None:
+        if np.shape(self.amplitudes) != (2**self.n_qubits,):
+            raise ValueError(
+                f"a {self.n_qubits}-qubit state needs {2**self.n_qubits} amplitudes, "
+                f"got shape {np.shape(self.amplitudes)}"
+            )
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -249,7 +264,6 @@ def damping_matrix(gamma: float) -> np.ndarray:
 
 
 _H = 1.0 / np.sqrt(2.0)
-_PHASE_KINDS = (GateKind.PHASE, GateKind.CONTROLLED_PHASE)
 
 
 def _register(state: QuantumState) -> np.ndarray:

@@ -227,6 +227,27 @@ class TestHardwareDemo:
             out_b / "demo_reconstruction.csv").read_text()
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--beta", "nan", "must not be NaN"),
+        ("--alpha", "nan", "must not be NaN"),
+        ("--alpha", "inf", "phase angle must be finite"),
+    ])
+    def test_non_finite_parameters_fail_before_writing(self, tmp_path, capsys,
+                                                       flag, value, message):
+        # numpy's multinomial once failed on NaN probabilities instead
+        rc = main(["hardware-demo", "--n", "3", flag, value,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("demo_*"))
+
+    def test_infinite_beta_is_full_damping(self, tmp_path):
+        rc = main(["hardware-demo", "--n", "3", "--beta", "inf",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "demo_reconstruction.csv").exists()
+
+
 class TestSample:
     def test_reconstruction_schema_and_determinism(self, pulse_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

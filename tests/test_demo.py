@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qadvdiff import demo
 from qadvdiff.demo import (
     DEMO_ALPHA,
     DEMO_BETA,
+    _joint_state,
     build_demo_circuit,
     demo_ancilla_count,
     format_circuit_listing,
     ideal_demo_state,
     run_demo,
 )
-from qadvdiff.state import GateKind, apply_circuit, new_state
+from qadvdiff.state import GateKind, apply_circuit, hadamard, new_state
 
 
 def physical_profile(n_qubits: int) -> np.ndarray:
@@ -139,3 +141,75 @@ class TestListing:
         controlled = [line for line in listing.split("\n")
                       if "[" in line and line.split("[")[1][0] != "]"]
         assert controlled
+
+
+@pytest.fixture
+def fresh_joint_memo():
+    _joint_state.cache_clear()
+    yield
+    _joint_state.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_joint_memo")
+class TestJointStateMemo:
+    def test_one_simulation_per_parameter_set(self, monkeypatch):
+        simulated = []
+        apply = demo.apply_circuit
+
+        def counting(state, circuit, *args, **kwargs):
+            simulated.append(circuit.n_qubits)
+            return apply(state, circuit, *args, **kwargs)
+
+        monkeypatch.setattr(demo, "apply_circuit", counting)
+        for seed in (1, 2, 3):
+            run_demo(3, shots=500, seed=seed)
+        assert simulated == [9]
+        run_demo(3, shots=500, seed=1, beta=0.5)
+        assert simulated == [9, 9]
+
+    def test_only_the_last_parameter_set_is_kept(self):
+        run_demo(3, shots=10, seed=0)
+        run_demo(3, shots=10, seed=0, beta=0.5)
+        assert _joint_state.cache_info().currsize == 1
+        run_demo(3, shots=10, seed=0)
+        assert _joint_state.cache_info().misses == 3
+
+    def test_registers_above_the_limit_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(demo, "_JOINT_MEMO_MAX_QUBITS", 8)
+        kept = run_demo(2, shots=500, seed=3)
+        unkept = [run_demo(3, shots=500, seed=3) for _ in range(2)]
+        assert _joint_state.cache_info().misses == 1
+        assert np.array_equal(unkept[0].sampled_amplitudes,
+                              unkept[1].sampled_amplitudes)
+        assert kept.circuit.n_qubits == 5
+
+    def test_memoized_counts_match_a_fresh_simulation(self):
+        warm = [run_demo(4, shots=3000, seed=s) for s in (5, 6, 5)]
+        _joint_state.cache_clear()
+        cold = [run_demo(4, shots=3000, seed=s) for s in (5, 6, 5)]
+        for a, b in zip(warm, cold):
+            assert np.array_equal(a.sampled_amplitudes, b.sampled_amplitudes)
+            assert np.array_equal(a.ideal_amplitudes, b.ideal_amplitudes)
+            assert a.success_prob == b.success_prob
+
+    def test_qubit_cap_applies_with_a_warm_memo(self, monkeypatch):
+        run_demo(3, shots=1, seed=0)
+        monkeypatch.setenv("QADVDIFF_MAX_QUBITS", "3")
+        with pytest.raises(ValueError, match="register of 9 qubits exceeds"):
+            run_demo(3, shots=1, seed=0)
+
+    def test_shot_guard_applies_with_a_warm_memo(self):
+        run_demo(3, shots=1, seed=0)
+        with pytest.raises(ValueError, match="shots"):
+            run_demo(3, shots=0, seed=0)
+
+    def test_results_share_no_mutable_state(self):
+        first = run_demo(3, shots=1000, seed=2)
+        listing = format_circuit_listing(first.circuit)
+        first.circuit.add(hadamard(0))
+        first.ideal_amplitudes[:] = 0.0
+        second = run_demo(3, shots=1000, seed=2)
+        assert second.circuit is not first.circuit
+        assert format_circuit_listing(second.circuit) == listing
+        assert_allclose(second.ideal_amplitudes, physical_profile(3), atol=1e-14)
+        assert not _joint_state(3, DEMO_ALPHA, DEMO_BETA).amplitudes.flags.writeable

@@ -1,4 +1,5 @@
-"""Property tests: transform round trips, QFT adjoint, error_norm invariances."""
+"""Property tests: transform round trips, QFT adjoint, error_norm invariances,
+and runs that do not depend on what the stage memo already holds."""
 
 import numpy as np
 import scipy.fft
@@ -6,9 +7,16 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_state_vector
+from qadvdiff.advection import VelocityProfile
 from qadvdiff.oracles import error_norm
+from qadvdiff.splitting import (
+    ScenarioConfig,
+    _shared_stage,
+    initial_scalar_field,
+    run_scenario,
+)
 from qadvdiff.state import QuantumState, apply_circuit
-from qadvdiff.transforms import apply_qct, apply_qst, build_qft_circuit
+from qadvdiff.transforms import BoundaryKind, apply_qct, apply_qst, build_qft_circuit
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -68,3 +76,39 @@ def test_error_norm_ignores_scale_and_layout(n_x, n_y, seed, scale_a, scale_b):
     assert_allclose(error_norm(scale_a * a, scale_b * b), base, rtol=1e-9, atol=1e-14)
     assert_allclose(error_norm(a.ravel(order="F"), b), base, rtol=1e-12, atol=1e-15)
     assert_allclose(error_norm(a, b.ravel(order="F")), base, rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Small valid ScenarioConfigs across every profile, boundary and splitting."""
+    n_y = draw(st.integers(0, 2))
+    profiles = ["uniform"] if n_y == 0 else ["uniform", "couette", "poiseuille", "blasius"]
+    # periodic diffusion needs two qubits on its axis
+    walls = [BoundaryKind.NEUMANN, BoundaryKind.DIRICHLET] + (
+        [BoundaryKind.PERIODIC] if n_y >= 2 else [])
+    splitting = draw(st.sampled_from(["trotter", "strang"]))
+    merge = splitting == "strang" and draw(st.booleans())
+    return ScenarioConfig(
+        n_x=draw(st.integers(2, 3)), n_y=n_y,
+        profile=VelocityProfile.named(draw(st.sampled_from(profiles))),
+        # few distinct values, so that two drawn scenarios often share stages
+        diffusivity=draw(st.sampled_from([0.0, 0.01, 0.05])),
+        t_final=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        n_steps=draw(st.integers(1, 4)),
+        splitting=splitting, merge_strang=merge,
+        bc_y=draw(st.sampled_from(walls)),
+        checkpoints=1 if merge else 2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios(), small_scenarios())
+def test_runs_do_not_depend_on_the_stage_memo(config_a, config_b):
+    _shared_stage.cache_clear()
+    run_scenario(config_a, initial_scalar_field(config_a))
+    after_a = run_scenario(config_b, initial_scalar_field(config_b))
+    _shared_stage.cache_clear()
+    fresh = run_scenario(config_b, initial_scalar_field(config_b))
+    assert np.array_equal(after_a.final_state.amplitudes, fresh.final_state.amplitudes)
+    assert after_a.success_prob_history == fresh.success_prob_history
+    assert after_a.gate_counts == fresh.gate_counts

@@ -7,14 +7,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qadvdiff.advection import VelocityProfile
+from qadvdiff import splitting
 from qadvdiff.oracles import (
     diagonal_propagator_oracle,
     error_norm,
     split_propagation_oracle,
 )
 from qadvdiff.splitting import (
+    _STAGE_MEMO_SIZE,
     RunResult,
     ScenarioConfig,
+    _shared_stage,
     _Stepper,
     commutator_error_estimate,
     decompose_steady_state,
@@ -252,6 +255,12 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="exceeds"):
             run_scenario(wide, initial_scalar_field(wide))
 
+    def test_mismatched_quantum_state_rejected_with_both_sizes(self):
+        # once failed deep in the engine with "cannot reshape array of size 8"
+        with pytest.raises(ValueError, match="4-qubit state needs 16 amplitudes, "
+                                             r"got shape \(8,\)"):
+            run_scenario(make_config(), QuantumState(4, np.ones(8)))
+
     def test_bad_initial_shapes_rejected(self):
         config = make_config()
         with pytest.raises(ValueError, match="entries"):
@@ -293,6 +302,70 @@ class TestRunScenario:
         stepper = _Stepper(config, config.dt)
         assert {name for name in ("adv_full", "adv_half")
                 if getattr(stepper, name) is not None} == built
+
+
+@pytest.fixture
+def fresh_stage_memo():
+    _shared_stage.cache_clear()
+    yield
+    _shared_stage.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_stage_memo")
+class TestStageMemo:
+    SHEAR = dict(n_x=4, n_y=2, profile=VelocityProfile.poiseuille(),
+                 diffusivity=0.01, t_final=0.5, n_steps=2, checkpoints=1)
+
+    def test_the_builder_is_part_of_the_key(self, monkeypatch):
+        calls = []
+        build = splitting.build_qft_circuit
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        config = make_config(**self.SHEAR)
+        field = initial_scalar_field(config)
+        first = run_scenario(config, field)
+        monkeypatch.setattr(splitting, "build_qft_circuit", counting)
+        replaced = run_scenario(config, field)
+        assert sorted(calls) == [(4, False), (4, True)]
+        again = run_scenario(config, field)
+        assert len(calls) == 2
+        for result in (replaced, again):
+            assert np.array_equal(result.final_state.amplitudes,
+                                  first.final_state.amplitudes)
+            assert result.gate_counts == first.gate_counts
+
+    def test_strang_reuses_the_trotter_qft_and_diffusion_stages(self):
+        trotter = _Stepper(make_config(**self.SHEAR), 0.25)
+        misses = _shared_stage.cache_info().misses
+        strang = _Stepper(make_config(**self.SHEAR, splitting="strang"), 0.25)
+        assert _shared_stage.cache_info().misses == misses
+        for name in ("qft_fwd", "qft_bwd", "diff_x", "diff_y"):
+            assert getattr(strang, name) is getattr(trotter, name)
+
+    def test_advection_stages_are_never_kept(self):
+        config = make_config(**self.SHEAR, splitting="strang", merge_strang=True)
+        first, second = _Stepper(config, 0.25), _Stepper(config, 0.25)
+        assert first.qft_fwd is second.qft_fwd
+        for name in ("adv_full", "adv_half"):
+            assert getattr(first, name) is not getattr(second, name)
+            assert getattr(first, name).circuit.gates == getattr(second, name).circuit.gates
+
+    def test_a_new_dt_shares_only_the_qft_stages(self):
+        config = make_config(**self.SHEAR, bc_y=BoundaryKind.PERIODIC)
+        coarse, fine = _Stepper(config, 0.25), _Stepper(config, 0.125)
+        for name in ("qft_fwd", "qft_bwd", "y_fwd", "y_bwd"):
+            assert getattr(fine, name) is getattr(coarse, name)
+        for name in ("diff_x", "diff_y"):
+            assert getattr(fine, name) is not getattr(coarse, name)
+
+    def test_memo_stays_bounded(self):
+        config = make_config(**self.SHEAR)
+        for n_steps in range(1, 12):
+            _Stepper(config, config.t_final / n_steps)
+        assert _shared_stage.cache_info().currsize == _STAGE_MEMO_SIZE
 
 
 class TestMergedStrang:

@@ -56,6 +56,27 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="block-encodable"):
             damping(0, -0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: phase(0, np.nan),
+        lambda: phase(0, np.nan, ((1, 1),)),
+        lambda: damping(0, np.nan),
+        lambda: GateOp(GateKind.HADAMARD, 0, (), np.nan),
+    ], ids=["phase", "cphase", "damping", "hadamard"])
+    def test_nan_parameter_rejected(self, make):
+        with pytest.raises(ValueError, match="NaN"):
+            make()
+
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf])
+    @pytest.mark.parametrize("controls", [(), ((1, 1),)])
+    def test_infinite_phase_rejected(self, theta, controls):
+        with pytest.raises(ValueError, match="phase angle must be finite"):
+            phase(0, theta, controls)
+
+    def test_infinite_damping_is_full_damping(self):
+        gate = damping(1, np.inf)
+        assert gate.param == np.inf
+        assert_allclose(damping_matrix(gate.param).real, [[0.0, -1.0], [1.0, 0.0]])
+
     def test_gate_outside_register(self):
         circuit = Circuit(2)
         with pytest.raises(ValueError, match="outside"):
@@ -65,6 +86,28 @@ class TestGateValidation:
     def test_ancilla_outside_register(self, ancilla):
         with pytest.raises(ValueError, match=f"ancilla qubit {ancilla} outside"):
             Circuit(2, [], frozenset({ancilla}))
+
+
+class TestQuantumStateValidation:
+    @pytest.mark.parametrize("n_qubits, amps", [
+        (2, np.ones(8) / np.sqrt(8.0)),
+        (4, np.ones(8)),
+        (3, np.ones(4)),
+        (2, np.ones((2, 2)) / 2.0),
+    ])
+    def test_amplitude_count_must_match_register(self, n_qubits, amps):
+        with pytest.raises(ValueError, match=(
+                f"{n_qubits}-qubit state needs {2**n_qubits} amplitudes, "
+                rf"got shape \({amps.shape[0]},")):
+            QuantumState(n_qubits, amps)
+
+    def test_sampling_never_sees_a_mismatched_state(self):
+        # sample_counts once returned 8 bins for a "2-qubit" state
+        with pytest.raises(ValueError, match="needs 4 amplitudes"):
+            sample_counts(QuantumState(2, np.ones(8) / np.sqrt(8.0)), 10, 0)
+
+    def test_matching_state_accepted(self):
+        assert QuantumState(3, np.ones(8) / np.sqrt(8.0)).norm() == pytest.approx(1.0)
 
 
 class TestSingleGates:
