@@ -244,7 +244,8 @@ def fd10_reference(config, field) -> ScalarField:
     cell outside the end rows: ghost values phi[-1] = phi[0],
     phi[-2] = phi[1], odd-signed for Dirichlet.  Advection uses the same
     per-row speeds as the quantum kernels.  Classical RK4 in time with a
-    CFL-limited substep.
+    substep bounded by the advective CFL limit and by the diffusive limit of
+    the finer of the two spacings; a non-finite result raises ValueError.
     """
     two_d = config.n_y > 0
     nx = 1 << config.n_x
@@ -290,8 +291,10 @@ def fd10_reference(config, field) -> ScalarField:
     if u_max > 0.0:
         limits.append(dx / u_max)
     if d > 0.0:
+        # the stiffer axis bounds the explicit diffusion substep
+        h = min(dx, dy) if two_d else dx
         c2 = float(np.sum(np.abs(w2)))
-        limits.append(dx**2 / (2.0 * c2 * d * (2 if two_d else 1)))
+        limits.append(h**2 / (2.0 * c2 * d * (2 if two_d else 1)))
     if not limits:
         return ScalarField(arr, dx, dy, config.t_final)
     dt_stable = _CFL_SAFETY * min(limits)
@@ -310,6 +313,8 @@ def fd10_reference(config, field) -> ScalarField:
         k3 = rhs(arr + 0.5 * dt * k2)
         k4 = rhs(arr + dt * k3)
         arr = arr + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("finite-difference reference diverged to non-finite values")
     return ScalarField(arr, dx, dy, config.t_final)
 
 

@@ -7,6 +7,13 @@ two one-axis diffusion operators (diagonal in their mode bases, mutually
 commuting).  Lie-Trotter applies advection then diffusion once per step;
 Strang symmetrises with half advection on both sides.
 
+The streamwise axis stays in Fourier space for the whole run.  Every
+wall-normal stage acts on the y qubits (and its own ancilla) only, so it
+commutes with the x QFT: a run applies one forward x QFT before its first
+step, and each checkpoint reads the field out with one inverse x QFT on a
+copy.  The last checkpoint is the final step, so its read-out is the run's
+final state; the others are counted under ``readout``.
+
 Each QFT and damping stage is built, widened onto the main register and
 compiled once per process: ``_shared_stage`` memoizes it in an LRU cache of
 ``_STAGE_MEMO_SIZE`` (16) entries keyed by the stage's category, its builder
@@ -186,9 +193,11 @@ class RunResult:
 
     ``final_state`` covers the main register (the damping ancilla is never
     stored); ``checkpoint_states`` maps step indices to normalized field
-    vectors.  ``stage_times_s`` holds the seconds spent in each stage
-    category (``qft``, ``advection``, ``diffusion`` and the wall-normal
-    DCT/DST ``wall``).
+    vectors.  ``gate_counts`` and ``stage_times_s`` (seconds) are kept per
+    stage category: ``qft``, ``advection``, ``diffusion``, the wall-normal
+    DCT/DST ``wall`` (times only) and ``readout``, the inverse x QFTs that
+    produce the intermediate checkpoints.  The ``total_*`` counts leave
+    ``readout`` out.
     """
 
     config: ScenarioConfig
@@ -246,9 +255,9 @@ class _Stepper:
         self.y_qubits = list(range(n_x, n_main))
         self.counts = {
             key: {"controlled": 0, "two_qubit": 0}
-            for key in ("qft", "advection", "diffusion")
+            for key in ("qft", "advection", "diffusion", "readout")
         }
-        self.times = dict.fromkeys(("qft", "advection", "diffusion", "wall"), 0.0)
+        self.times = dict.fromkeys((*self.counts, "wall"), 0.0)
 
         self.qft_fwd = _shared_stage("qft", build_qft_circuit, 0, n_main, n_x, True)
         self.qft_bwd = _shared_stage("qft", build_qft_circuit, 0, n_main, n_x, False)
@@ -289,13 +298,15 @@ class _Stepper:
                 self.diff_y = _shared_stage("diffusion", build_halfspectrum_diffusion,
                                             n_x, n_main, n_y, beta_y, config.bc_y)
 
-    def _apply(self, state: QuantumState, stage: _Stage) -> QuantumState:
-        counts = self.counts[stage.category]
+    def _apply(self, state: QuantumState, stage: _Stage,
+               category: str | None = None) -> QuantumState:
+        category = category or stage.category
+        counts = self.counts[category]
         counts["controlled"] += stage.controlled
         counts["two_qubit"] += stage.two_qubit
         t0 = time.perf_counter()
         state = apply_circuit(state, stage.circuit)
-        self.times[stage.category] += time.perf_counter() - t0
+        self.times[category] += time.perf_counter() - t0
         return state
 
     def _wall(self, state: QuantumState, inverse: bool) -> QuantumState:
@@ -305,15 +316,8 @@ class _Stepper:
         self.times["wall"] += time.perf_counter() - t0
         return state
 
-    def _advect(self, state: QuantumState, half: bool) -> QuantumState:
-        state = self._apply(state, self.qft_fwd)
-        return self._apply(state, self.adv_half if half else self.adv_full)
-
-    def _diffuse_x_and_leave_fourier(self, state: QuantumState) -> QuantumState:
+    def _diffuse(self, state: QuantumState) -> QuantumState:
         state = self._apply(state, self.diff_x)
-        return self._apply(state, self.qft_bwd)
-
-    def _diffuse_y(self, state: QuantumState) -> QuantumState:
         if self.config.n_y == 0:
             return state
         if self.config.bc_y is BoundaryKind.PERIODIC:
@@ -325,25 +329,23 @@ class _Stepper:
         return self._wall(state, inverse=True)
 
     def step(self, state: QuantumState, first: bool = True, last: bool = True) -> QuantumState:
-        config = self.config
-        if config.splitting == "trotter":
-            state = self._advect(state, half=False)
-            state = self._diffuse_x_and_leave_fourier(state)
-            return self._diffuse_y(state)
-        if config.merge_strang:
-            # consecutive trailing/leading half steps fused into full steps
-            state = self._advect(state, half=first)
-            state = self._diffuse_x_and_leave_fourier(state)
-            state = self._diffuse_y(state)
-            if last:
-                state = self._advect(state, half=True)
-                state = self._apply(state, self.qft_bwd)
-            return state
-        state = self._advect(state, half=True)
-        state = self._diffuse_x_and_leave_fourier(state)
-        state = self._diffuse_y(state)
-        state = self._advect(state, half=True)
-        return self._apply(state, self.qft_bwd)
+        """One splitting step on a state whose x axis is in Fourier space.
+
+        Merged Strang fuses each trailing half advection with the next
+        leading one, so only its first step leads with a half and its last
+        step ends with one.
+        """
+        strang, merged = self.config.splitting == "strang", self.config.merge_strang
+        lead = self.adv_half if strang and (first or not merged) else self.adv_full
+        state = self._diffuse(self._apply(state, lead))
+        if strang and (last or not merged):
+            state = self._apply(state, self.adv_half)
+        return state
+
+    def read_out(self, state: QuantumState, final: bool) -> QuantumState:
+        """The state back in grid space (a new state); only the final
+        read-out counts as the run's inverse x QFT."""
+        return self._apply(state, self.qft_bwd, "qft" if final else "readout")
 
     def flat_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -351,8 +353,9 @@ class _Stepper:
         for key, vals in self.counts.items():
             out[f"{key}_controlled"] = vals["controlled"]
             out[f"{key}_two_qubit"] = vals["two_qubit"]
-            total_c += vals["controlled"]
-            total_t += vals["two_qubit"]
+            if key != "readout":
+                total_c += vals["controlled"]
+                total_t += vals["two_qubit"]
         out["total_controlled"] = total_c
         out["total_two_qubit"] = total_t
         return out
@@ -410,10 +413,14 @@ def run_scenario(
     checkpoints = [(0, state.amplitudes.copy())]
     success_history = []
     stepper = _Stepper(config, config.dt)
+    spectral = stepper._apply(state, stepper.qft_fwd)
     for i in range(1, config.n_steps + 1):
-        state = stepper.step(state, first=(i == 1), last=(i == config.n_steps))
-        success_history.append(state.success_prob)
-        if i in steps and i > 0:
+        last = i == config.n_steps
+        spectral = stepper.step(spectral, first=(i == 1), last=last)
+        success_history.append(spectral.success_prob)
+        if i in steps:
+            # n_steps is always a checkpoint, so this also yields the final state
+            state = stepper.read_out(spectral, final=last)
             checkpoints.append((i, state.amplitudes.copy()))
     error_norms = {}
     if references:

@@ -28,8 +28,6 @@ views of the register; no index or mask array over the register is built.
   ``success_prob``.  A run whose probability is below 1e-300 raises
   ``postselection impossible``.
 - Hadamard, CNOT, swap and unprojected damping gates are one step each.
-
-``apply_gate`` runs through the same steps.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -428,11 +425,6 @@ def _compile(circuit: "Circuit", project_ancillas: bool) -> list:
     return steps
 
 
-def apply_gate(state: QuantumState, gate: GateOp) -> QuantumState:
-    """Apply one gate and return the new state (the input is left untouched)."""
-    return apply_circuit(state, Circuit(state.n_qubits, [gate]))
-
-
 def project_ancilla_zero(state: QuantumState, ancilla: int) -> QuantumState:
     """Postselect qubit ``ancilla`` on |0>: zero the |1> branch, renormalize,
     and fold the branch probability into ``success_prob``."""
@@ -536,30 +528,3 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
             gates.append(g)
     return Circuit(circuit.n_qubits, gates, circuit.ancilla_indices)
 
-
-def write_amplitudes(state: QuantumState, path) -> None:
-    """Binary dump: 8-byte little-endian qubit count, then interleaved
-    little-endian float64 (re, im) pairs for all amplitudes."""
-    flat = np.empty(2 * state.amplitudes.size, dtype="<f8")
-    flat[0::2] = state.amplitudes.real
-    flat[1::2] = state.amplitudes.imag
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", state.n_qubits))
-        fh.write(flat.tobytes())
-
-
-def read_amplitudes(path) -> QuantumState:
-    """Read a dump written by write_amplitudes (success_prob is not stored)."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"truncated amplitude dump: {path}")
-        (n_qubits,) = struct.unpack("<Q", header)
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    expected = 2 * (1 << n_qubits)
-    if payload.size != expected:
-        raise ValueError(
-            f"amplitude dump holds {payload.size} floats, expected {expected}"
-        )
-    amps = payload[0::2] + 1j * payload[1::2]
-    return QuantumState(int(n_qubits), amps.astype(np.complex128))

@@ -81,6 +81,18 @@ class TestRun:
         assert "err_fd10" in record and "err_oracle" in record
         assert float(record["err_oracle"]) < 1e-12
 
+    def test_fine_wall_grid_gives_finite_fd_error(self, tmp_path):
+        # once exited 0 with err_fd10 = nan: n_y > n_x made FD10 unstable
+        path = tmp_path / "fine_walls.cfg"
+        path.write_text("n_x = 3\nn_y = 6\nprofile = couette\nU = 1.0\nD = 0.05\n"
+                        "t_final = 1.0\nsteps = 4\nsplitting = strang\n"
+                        "reference = auto\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+        header, row = read_csv(out / "summary.csv")
+        assert "err_fd10" in header
+        assert all(np.isfinite(float(value)) for value in row)
+
     def test_splitting_override_changes_the_result(self, shear_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["run", "--config", shear_cfg, "--out-dir", str(out_a)])

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 from numpy.testing import assert_allclose
 
+from qadvdiff import oracles
 from qadvdiff.advection import VelocityProfile
 from qadvdiff.oracles import (
     PULSE_CENTER,
@@ -289,6 +290,23 @@ class TestFiniteDifferenceReference:
         wrapped = ScalarField(initial_scalar_field(config), dx=1.0 / 16.0)
         result = fd10_reference(config, wrapped)
         assert result.values.shape == (16,)
+
+    def test_fine_wall_grid_stays_finite(self):
+        # n_y > n_x makes dy < dx; a substep bounded by dx alone blew up to NaN
+        config = ScenarioConfig(3, 6, VelocityProfile.couette(), 0.05, 1.0,
+                                n_steps=4, splitting="strang")
+        field = initial_scalar_field(config)
+        result = fd10_reference(config, field)
+        assert np.all(np.isfinite(result.values))
+        oracle_vec, _ = split_propagation_oracle(config, field)
+        assert error_norm(result.values, oracle_vec) < 1e-2
+
+    def test_non_finite_result_raises(self, monkeypatch):
+        # a substep far above the stable one diverges; it must not return NaN
+        monkeypatch.setattr(oracles, "_CFL_SAFETY", 50.0)
+        config = ScenarioConfig(3, 6, VelocityProfile.couette(), 0.05, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            fd10_reference(config, initial_scalar_field(config))
 
     def test_substep_guard_trips_on_extreme_parameters(self):
         config = ScenarioConfig(10, 0, VelocityProfile.uniform(), 50.0, 10.0)

@@ -1,5 +1,8 @@
 """Property tests: transform round trips, QFT adjoint, error_norm invariances,
-and runs that do not depend on what the stage memo already holds."""
+runs that match the split oracle and read out their checkpoints exactly, and
+runs that do not depend on what the stage memo already holds."""
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.fft
@@ -8,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_state_vector
 from qadvdiff.advection import VelocityProfile
-from qadvdiff.oracles import error_norm
+from qadvdiff.oracles import error_norm, split_propagation_oracle
 from qadvdiff.splitting import (
     ScenarioConfig,
     _shared_stage,
@@ -112,3 +115,26 @@ def test_runs_do_not_depend_on_the_stage_memo(config_a, config_b):
     assert np.array_equal(after_a.final_state.amplitudes, fresh.final_state.amplitudes)
     assert after_a.success_prob_history == fresh.success_prob_history
     assert after_a.gate_counts == fresh.gate_counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_runs_match_the_split_oracle(config):
+    field = initial_scalar_field(config)
+    result = run_scenario(config, field)
+    oracle_vec, history = split_propagation_oracle(config, field)
+    assert error_norm(result.final_state, oracle_vec) < 1e-12
+    assert_allclose(result.success_prob, np.prod(history), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios().filter(lambda config: not config.merge_strang))
+def test_each_checkpoint_is_the_final_state_of_a_shorter_run(config):
+    # every checkpoint is read out of the spectral state by its own inverse QFT
+    config = replace(config, checkpoints=config.n_steps)
+    field = initial_scalar_field(config)
+    result = run_scenario(config, field)
+    assert [i for i, _ in result.checkpoint_states] == list(range(config.n_steps + 1))
+    for i, vec in result.checkpoint_states[1:]:
+        shorter = run_scenario(replace(config, n_steps=i, t_final=i * config.dt), field)
+        assert_allclose(vec, shorter.final_state.amplitudes, rtol=0, atol=1e-13)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qadvdiff.advection import VelocityProfile
+from qadvdiff.advection import (
+    VelocityProfile,
+    count_controlled_gates,
+    count_two_qubit_gates,
+)
 from qadvdiff import splitting
 from qadvdiff.oracles import (
     diagonal_propagator_oracle,
@@ -27,7 +31,7 @@ from qadvdiff.splitting import (
     y_coordinates,
 )
 from qadvdiff.state import QuantumState
-from qadvdiff.transforms import BoundaryKind, wavenumbers
+from qadvdiff.transforms import BoundaryKind, build_qft_circuit, wavenumbers
 
 
 def make_config(**overrides):
@@ -209,8 +213,26 @@ class TestRunScenario:
         assert counts["qft_two_qubit"] > 0
         assert result.wall_time_s > 0.0
         one_step = run_scenario(replace(config, n_steps=1),
-                                initial_scalar_field(config))
-        assert counts == {k: 2 * v for k, v in one_step.gate_counts.items()}
+                                initial_scalar_field(config)).gate_counts
+
+        def qft_counts(inverse):
+            circuit = build_qft_circuit(4, inverse)
+            return {"controlled": count_controlled_gates(circuit),
+                    "two_qubit": count_two_qubit_gates(circuit)}
+
+        analysis, synthesis = qft_counts(True), qft_counts(False)
+        for kind in ("controlled", "two_qubit"):
+            for stage in ("advection", "diffusion"):
+                assert counts[f"{stage}_{kind}"] == 2 * one_step[f"{stage}_{kind}"]
+            # one forward x QFT before the first step, one inverse after the last
+            assert (counts[f"qft_{kind}"] == one_step[f"qft_{kind}"]
+                    == analysis[kind] + synthesis[kind])
+            # the two-step run reads out one intermediate checkpoint
+            assert counts[f"readout_{kind}"] == synthesis[kind]
+            assert one_step[f"readout_{kind}"] == 0
+            for run in (counts, one_step):
+                assert run[f"total_{kind}"] == sum(
+                    run[f"{stage}_{kind}"] for stage in ("qft", "advection", "diffusion"))
 
     def test_reference_errors_are_attached(self):
         config = make_config()
@@ -287,7 +309,7 @@ class TestRunScenario:
                              diffusivity=0.01, t_final=0.5, n_steps=2)
         result = run_scenario(config, initial_scalar_field(config))
         times = result.stage_times_s
-        assert set(times) == {"qft", "advection", "diffusion", "wall"}
+        assert set(times) == {"qft", "advection", "diffusion", "wall", "readout"}
         assert all(value >= 0.0 for value in times.values())
         assert sum(times.values()) <= result.wall_time_s
 

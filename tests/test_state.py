@@ -1,4 +1,4 @@
-"""Statevector core: gate application, postselection, sampling, IO."""
+"""Statevector core: gate application, postselection, sampling."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from qadvdiff.state import (
     GateOp,
     QuantumState,
     apply_circuit,
-    apply_gate,
     build_fourier_initial_state,
     cnot,
     damping,
@@ -23,11 +22,9 @@ from qadvdiff.state import (
     new_state,
     phase,
     project_ancilla_zero,
-    read_amplitudes,
     remap_circuit,
     sample_counts,
     swap,
-    write_amplitudes,
 )
 
 
@@ -118,7 +115,7 @@ class TestSingleGates:
             gate = phase(target, 0.7 + target)
             vec = random_state_vector(n_qubits, seed)
             state = QuantumState(n_qubits, vec.copy())
-            out = apply_gate(state, gate)
+            out = apply_circuit(state, Circuit(n_qubits, [gate]))
             assert_allclose(out.amplitudes,
                             gate_operator(gate, n_qubits) @ vec, atol=1e-14)
 
@@ -137,13 +134,13 @@ class TestSingleGates:
         n_qubits = 3
         vec = random_state_vector(n_qubits, 42)
         state = QuantumState(n_qubits, vec.copy())
-        out = apply_gate(state, gate)
+        out = apply_circuit(state, Circuit(n_qubits, [gate]))
         assert_allclose(out.amplitudes,
                         gate_operator(gate, n_qubits) @ vec, atol=1e-14)
 
     def test_swap_exchanges_basis_states(self):
         state = encode_amplitudes([0.0, 1.0, 0.0, 0.0])
-        out = apply_gate(state, swap(0, 1))
+        out = apply_circuit(state, Circuit(2, [swap(0, 1)]))
         assert_allclose(out.amplitudes, [0.0, 0.0, 1.0, 0.0])
 
     def test_damping_matrix_columns(self):
@@ -282,32 +279,6 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             sample_counts(new_state(1), 0, seed=0)
-
-
-class TestStateIO:
-    def test_roundtrip_is_bit_exact(self, tmp_path):
-        vec = random_state_vector(3, 21)
-        state = QuantumState(3, vec)
-        path = tmp_path / "state.bin"
-        write_amplitudes(state, path)
-        back = read_amplitudes(path)
-        assert back.n_qubits == 3
-        assert np.array_equal(back.amplitudes, vec)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x03\x00")
-        with pytest.raises(ValueError, match="truncated"):
-            read_amplitudes(path)
-
-    def test_wrong_payload_size_rejected(self, tmp_path):
-        vec = random_state_vector(2, 3)
-        path = tmp_path / "state.bin"
-        write_amplitudes(QuantumState(2, vec), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="floats"):
-            read_amplitudes(path)
 
 
 class TestCircuitTools:
