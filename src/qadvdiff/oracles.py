@@ -8,6 +8,7 @@ finite-difference integrator for the full 2D shear problem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,8 +178,14 @@ def central_difference_weights(derivative: int, order: int = _FD_ORDER) -> np.nd
 
     Returns weights for offsets -p..p (p = order/2 for the first and second
     derivative) such that sum_m w_m f(x + m*h) = h^deriv * f^(deriv)(x) up to
-    the requested order.
+    the requested order.  Each (derivative, order) is solved once per
+    process; every call returns a fresh array.
     """
+    return np.array(_stencil_weights(derivative, order))
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_weights(derivative: int, order: int) -> tuple[float, ...]:
     if derivative not in (1, 2):
         raise ValueError(f"only first and second derivatives, got {derivative}")
     if order % 2 or order < 2:
@@ -201,7 +208,7 @@ def central_difference_weights(derivative: int, order: int = _FD_ORDER) -> np.nd
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return np.array([float(aug[r][size]) for r in range(size)])
+    return tuple(float(aug[r][size]) for r in range(size))
 
 
 def periodic_stencil_matrix(n: int, weights: np.ndarray) -> np.ndarray:
@@ -242,49 +249,45 @@ def fd10_reference(config, field) -> ScalarField:
     Streamwise axis periodic with spacing L/N_x.  The wall-normal rows span
     y = 0 to y = L inclusive (spacing L/(N_y - 1)) and are mirrored half a
     cell outside the end rows: ghost values phi[-1] = phi[0],
-    phi[-2] = phi[1], odd-signed for Dirichlet.  Advection uses the same
-    per-row speeds as the quantum kernels.  Classical RK4 in time with a
-    substep bounded by the advective CFL limit and by the diffusive limit of
-    the finer of the two spacings; a non-finite result raises ValueError.
+    phi[-2] = phi[1], odd-signed for Dirichlet.  (The spectral side assumes
+    spacing L/N_y instead; see the README.)  Advection uses the same per-row
+    speeds as the quantum kernels.  Classical RK4 in time with a substep h
+    bounded by the advective CFL limit and by the diffusive limit of the
+    finer of the two spacings; a non-finite result raises ValueError.
+
+    The x stencils are circulant, so the streamwise DFT block-diagonalizes
+    the scheme exactly: streamwise mode k sees the scalars
+    lambda1(k) = sum_m w1_m e^{2 pi i k m / N_x} / dx and lambda2(k) (same
+    with w2 / dx^2), and evolves under the N_y x N_y matrix
+    M_k = diag(-u_q lambda1(k) + D lambda2(k)) + D D2y.  One RK4 substep of
+    a linear system is the amplification matrix
+    S_k = sum_{j<=4} (h M_k)^j / j!.  S_k^{n_sub} is formed by repeated
+    squaring and applied to the mode's column, one mode at a time, so memory
+    stays O(N_y^2).  An unstable substep overflows S_k^{n_sub} itself, so
+    the non-finite check does not depend on how the initial field projects
+    onto the growing modes.
     """
     two_d = config.n_y > 0
-    nx = 1 << config.n_x
-    arr = np.asarray(getattr(field, "values", field), dtype=float)
+    nx, ny = config.nx_points, config.ny_points
+    arr = np.array(getattr(field, "values", field), dtype=float)
     if two_d:
-        arr = arr.reshape(nx, 1 << config.n_y, order="F").copy()
-    else:
-        arr = arr.copy()
+        arr = arr.reshape(nx, ny, order="F")
+    d = config.diffusivity
+    u_rows = profile_row_velocities(config)
+    w1 = central_difference_weights(1)
+    w2 = central_difference_weights(2)
     dx = config.length / nx
     dy = None
+    # a 1D run is a single row with no wall-normal coupling
+    d2y = np.zeros((1, 1))
     if two_d:
-        ny = 1 << config.n_y
         if config.bc_y is BoundaryKind.PERIODIC:
             dy = config.length / ny
+            d2y = periodic_stencil_matrix(ny, w2) / dy**2
         else:
             # wall rows sit on y = 0 and y = L; mirrors half a cell outside
             dy = config.length / (ny - 1)
-    d = config.diffusivity
-    u_rows = profile_row_velocities(config)
-
-    w1 = central_difference_weights(1)
-    w2 = central_difference_weights(2)
-    d1x = periodic_stencil_matrix(nx, w1) / dx
-    d2x = periodic_stencil_matrix(nx, w2) / dx**2
-    d2y = None
-    if two_d:
-        ny = 1 << config.n_y
-        if config.bc_y is BoundaryKind.PERIODIC:
-            d2y = periodic_stencil_matrix(ny, w2) / dy**2
-        else:
             d2y = wall_stencil_matrix(ny, w2, config.bc_y) / dy**2
-
-    def rhs(a):
-        ddx = d1x @ a
-        lap = d2x @ a
-        if two_d:
-            lap = lap + a @ d2y.T
-            return -ddx * u_rows[None, :] + d * lap
-        return -u_rows[0] * ddx + d * lap
 
     u_max = float(np.max(np.abs(u_rows)))
     limits = []
@@ -307,12 +310,19 @@ def fd10_reference(config, field) -> ScalarField:
             f"outside the stable range"
         )
     dt = config.t_final / n_sub
-    for _ in range(n_sub):
-        k1 = rhs(arr)
-        k2 = rhs(arr + 0.5 * dt * k1)
-        k3 = rhs(arr + 0.5 * dt * k2)
-        k4 = rhs(arr + dt * k3)
-        arr = arr + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = len(w1) // 2
+    modes = np.arange(nx // 2 + 1)
+    phases = np.exp(2j * np.pi * np.outer(modes, np.arange(-half, half + 1)) / nx)
+    lam1 = phases @ w1 / dx
+    lam2 = phases @ w2 / dx**2
+    eye = np.eye(ny)
+    spec = np.fft.rfft(arr.reshape(nx, ny), axis=0)
+    for k in modes:
+        hm = dt * (d * d2y + np.diag(-u_rows * lam1[k] + d * lam2[k]))
+        # Horner form of I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
+        step = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4.0) / 3.0) / 2.0)
+        spec[k] = np.linalg.matrix_power(step, n_sub) @ spec[k]
+    arr = np.fft.irfft(spec, n=nx, axis=0).reshape(arr.shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("finite-difference reference diverged to non-finite values")
     return ScalarField(arr, dx, dy, config.t_final)

@@ -1,8 +1,11 @@
-"""Shared helpers: slow dense-matrix oracles for small-register circuit checks."""
+"""Shared helpers: slow dense-matrix oracles for small-register circuit checks
+and the real-space FD10 integrator."""
 
 import numpy as np
 
+from qadvdiff import oracles
 from qadvdiff.state import Circuit, GateKind, GateOp
+from qadvdiff.transforms import BoundaryKind
 
 
 def single_qubit_matrix(gate: GateOp) -> np.ndarray:
@@ -79,3 +82,55 @@ def random_state_vector(n_qubits: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return vec / np.linalg.norm(vec)
+
+
+def fd10_direct(config, field) -> np.ndarray:
+    """Real-space RK4 with dense stencil matrices, one substep at a time.
+
+    The same scheme and substep count as ``oracles.fd10_reference``,
+    evaluated without the streamwise DFT: the reference its per-mode
+    amplification matrices are checked against.
+    """
+    two_d = config.n_y > 0
+    nx = 1 << config.n_x
+    arr = np.array(np.real(field), dtype=float)
+    d = config.diffusivity
+    u_rows = oracles.profile_row_velocities(config)
+    w1 = oracles.central_difference_weights(1)
+    w2 = oracles.central_difference_weights(2)
+    dx = config.length / nx
+    d1x = oracles.periodic_stencil_matrix(nx, w1) / dx
+    d2x = oracles.periodic_stencil_matrix(nx, w2) / dx**2
+    if two_d:
+        ny = 1 << config.n_y
+        arr = arr.reshape(nx, ny, order="F")
+        if config.bc_y is BoundaryKind.PERIODIC:
+            dy = config.length / ny
+            d2y = oracles.periodic_stencil_matrix(ny, w2) / dy**2
+        else:
+            dy = config.length / (ny - 1)
+            d2y = oracles.wall_stencil_matrix(ny, w2, config.bc_y) / dy**2
+
+    def rhs(a):
+        if two_d:
+            return -(d1x @ a) * u_rows[None, :] + d * (d2x @ a + a @ d2y.T)
+        return -u_rows[0] * (d1x @ a) + d * (d2x @ a)
+
+    limits = []
+    u_max = float(np.max(np.abs(u_rows)))
+    if u_max > 0.0:
+        limits.append(dx / u_max)
+    if d > 0.0:
+        h = min(dx, dy) if two_d else dx
+        limits.append(h**2 / (2.0 * float(np.sum(np.abs(w2))) * d * (2 if two_d else 1)))
+    if not limits:
+        return arr
+    n_sub = max(1, int(np.ceil(config.t_final / (oracles._CFL_SAFETY * min(limits)))))
+    dt = config.t_final / n_sub
+    for _ in range(n_sub):
+        k1 = rhs(arr)
+        k2 = rhs(arr + 0.5 * dt * k1)
+        k3 = rhs(arr + 0.5 * dt * k2)
+        k4 = rhs(arr + dt * k3)
+        arr = arr + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return arr

@@ -1,12 +1,20 @@
 """Command-line interface: file outputs, determinism, error handling."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qadvdiff.cli import main
+from qadvdiff.config import load_config
+from qadvdiff.splitting import (
+    initial_scalar_field,
+    run_scenario,
+    x_coordinates,
+    y_coordinates,
+)
 
 PULSE_CFG = """\
 n_x = 5
@@ -27,6 +35,22 @@ t_final = 1.0
 steps = 2
 splitting = strang
 bc_y = neumann
+"""
+
+# small speeds and diffusivity leave values far below 1e-4 next to the
+# initial basis state, so the fields hold zeros and exponent-form values
+BASIS_CFG = """\
+n_x = 2
+n_y = 2
+profile = couette
+U = 0.01
+D = 0.0001
+t_final = 0.5
+steps = 2
+splitting = strang
+bc_y = dirichlet
+initial = basis:5
+reference = none
 """
 
 
@@ -72,6 +96,35 @@ class TestRun:
         values = np.array([float(r[2]) for r in rows])
         rewritten = ["%.17g" % v for v in values]
         assert rewritten == [r[2] for r in rows]
+
+    @pytest.mark.parametrize("text", [PULSE_CFG, BASIS_CFG], ids=["1d", "basis"])
+    def test_field_files_are_the_csv_writer_bytes(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+        settings = load_config(str(path))
+        config = settings.scenario
+        result = run_scenario(config, initial_scalar_field(config, settings.initial))
+        x, y = x_coordinates(config), y_coordinates(config)
+        rows = []
+        for step, vector in result.checkpoint_states:
+            buffer = io.StringIO()
+            writer = csv.writer(buffer)
+            writer.writerow(("x", "y", "value"))
+            for flat, amp in enumerate(vector):
+                jx, jy = flat % config.nx_points, flat // config.nx_points
+                row = ["%.17g" % float(v)
+                       for v in (x[jx], 0.0 if y is None else y[jy], amp.real)]
+                writer.writerow(row)
+                rows.append(row)
+            assert (out / f"field_{step}.csv").read_bytes() == (
+                buffer.getvalue().encode())
+        if y is None:
+            assert {row[1] for row in rows} == {"0"}
+        else:
+            values = [row[2] for row in rows]
+            assert "0" in values and any("e-" in v for v in values)
 
     def test_two_dimensional_run_gets_fd_reference(self, shear_cfg, tmp_path):
         out = tmp_path / "out"
@@ -170,6 +223,16 @@ class TestConverge:
         assert slope[0] == "slope"
         assert 0.7 < float(slope[1]) < 1.3
         assert 1.6 < float(slope[2]) < 2.4
+
+    def test_step_sweep_against_fd10(self, shear_cfg, tmp_path):
+        out = tmp_path / "conv"
+        rc = main(["converge", "--config", shear_cfg, "--out-dir", str(out),
+                   "--step-counts", "1", "2", "4", "--reference", "fd10"])
+        assert rc == 0
+        rows = read_csv(out / "converge.csv")
+        assert rows[0] == ["N_t", "trotter_error", "strang_error"]
+        assert [r[0] for r in rows[1:]] == ["1", "2", "4", "slope"]
+        assert all(np.isfinite(float(v)) for r in rows[1:] for v in r[1:])
 
     def test_single_entry_has_no_footer(self, shear_cfg, tmp_path):
         out = tmp_path / "conv"

@@ -211,6 +211,13 @@ class TestStencils:
         with pytest.raises(ValueError, match="even"):
             central_difference_weights(1, order=5)
 
+    def test_returned_weights_are_a_fresh_copy(self):
+        first = central_difference_weights(2)
+        expected = first.copy()
+        first[:] = 0.0
+        assert_allclose(central_difference_weights(2), expected)
+        assert central_difference_weights(2) is not central_difference_weights(2)
+
     def test_periodic_matrix_rows_are_cyclic(self):
         mat = periodic_stencil_matrix(16, central_difference_weights(2))
         for q in range(16):

@@ -1,6 +1,7 @@
 """Property tests: transform round trips, QFT adjoint, error_norm invariances,
-runs that match the split oracle and read out their checkpoints exactly, and
-runs that do not depend on what the stage memo already holds."""
+runs that match the split oracle and read out their checkpoints exactly,
+runs that do not depend on what the stage memo already holds, and the
+per-mode FD10 integrator against its real-space form."""
 
 from dataclasses import replace
 
@@ -9,9 +10,9 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_state_vector
+from conftest import fd10_direct, random_state_vector
 from qadvdiff.advection import VelocityProfile
-from qadvdiff.oracles import error_norm, split_propagation_oracle
+from qadvdiff.oracles import error_norm, fd10_reference, split_propagation_oracle
 from qadvdiff.splitting import (
     ScenarioConfig,
     _shared_stage,
@@ -138,3 +139,36 @@ def test_each_checkpoint_is_the_final_state_of_a_shorter_run(config):
     for i, vec in result.checkpoint_states[1:]:
         shorter = run_scenario(replace(config, n_steps=i, t_final=i * config.dt), field)
         assert_allclose(vec, shorter.final_state.amplitudes, rtol=0, atol=1e-13)
+
+
+# speeds and coefficients on a 0.1 grid: no product underflows to a
+# subnormal speed, whose CFL limit overflows
+SPEEDS = st.integers(-15, 15).map(lambda i: i / 10)
+
+
+@st.composite
+def fd10_scenarios(draw):
+    """Small FD10 scenarios: every wall kind, named and custom profiles."""
+    n_y = draw(st.integers(0, 4))
+    # a 1D run takes only profiles of order 0
+    named = ["uniform"] if n_y == 0 else ["uniform", "couette", "poiseuille", "blasius"]
+    profiles = st.sampled_from(named).map(VelocityProfile.named) | st.lists(
+        SPEEDS, min_size=1, max_size=1 if n_y == 0 else 3).map(VelocityProfile.custom)
+    return ScenarioConfig(
+        n_x=draw(st.integers(2, 4)), n_y=n_y, profile=draw(profiles),
+        diffusivity=draw(st.integers(0, 50)) / 1000,
+        t_final=draw(st.floats(0.0, 0.5)),
+        velocity_scale=draw(SPEEDS),
+        bc_y=draw(st.sampled_from(list(BoundaryKind))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(fd10_scenarios(), SEEDS)
+def test_fd10_modes_match_the_real_space_integrator(config, seed):
+    size = config.nx_points * config.ny_points
+    field = np.random.default_rng(seed).normal(size=size)
+    expected = fd10_direct(config, field)
+    values = fd10_reference(config, field).values
+    assert values.shape == expected.shape
+    assert_allclose(values, expected, rtol=0, atol=1e-11 * np.max(np.abs(expected)))
