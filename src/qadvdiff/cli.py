@@ -160,6 +160,13 @@ def _fit_slope(sizes, errors) -> float:
 
 
 def cmd_converge(args) -> int:
+    # every sweep value is checked before any run, so a bad one costs no time
+    for n_points in args.grid_sizes or ():
+        if n_points < 4 or n_points & (n_points - 1):
+            raise ConfigError(f"grid size must be a power of two >= 4, got {n_points}")
+    for n_t in args.step_counts or ():
+        if n_t < 1:
+            raise ConfigError(f"step counts must be >= 1, got {n_t}")
     settings = load_config(args.config)
     config = settings.scenario
     out = Path(args.out_dir)
@@ -171,9 +178,7 @@ def cmd_converge(args) -> int:
                 "grid-size sweeps need a 1D uniform-profile gaussian scenario"
             )
         for n_points in args.grid_sizes:
-            n_x = int(n_points).bit_length() - 1
-            if (1 << n_x) != n_points or n_x < 2:
-                raise ConfigError(f"grid size must be a power of two >= 4, got {n_points}")
+            n_x = n_points.bit_length() - 1
             errs = {}
             for splitting in ("trotter", "strang"):
                 cfg = replace(
@@ -200,8 +205,6 @@ def cmd_converge(args) -> int:
             )
             reference = run_scenario(fine, field).final_state.amplitudes
         for n_t in args.step_counts:
-            if n_t < 1:
-                raise ConfigError(f"step counts must be >= 1, got {n_t}")
             errs = {}
             for splitting in ("trotter", "strang"):
                 cfg = replace(config, splitting=splitting, n_steps=n_t,

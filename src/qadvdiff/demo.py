@@ -92,9 +92,10 @@ def three_sigma_band(probs: np.ndarray, counts: np.ndarray, shots: int):
 
 @functools.lru_cache(maxsize=1)
 def _joint_state(n_qubits: int, alpha: float, beta: float) -> QuantumState:
-    """The demo circuit run on every qubit with no projection, read-only."""
+    """The demo's gates run with no ancillas declared (all stored), read-only."""
     circuit = build_demo_circuit(n_qubits, alpha, beta)
-    joint = apply_circuit(new_state(circuit.n_qubits), circuit, project_ancillas=False)
+    joint = apply_circuit(new_state(circuit.n_qubits),
+                          Circuit(circuit.n_qubits, list(circuit.gates)))
     joint.amplitudes.flags.writeable = False
     return joint
 

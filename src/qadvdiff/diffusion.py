@@ -133,19 +133,6 @@ def build_halfspectrum_diffusion(
     return _damping_circuit(n_qubits, terms, False)
 
 
-def worst_case_success(state: QuantumState) -> float:
-    """Success probability floor N*|mean(amplitudes)|^2 for long diffusion times.
-
-    Diffusion drives any profile toward its mean, so only the mean mode
-    survives; a uniform state gives 1, a zero-mean state gives 0.
-    """
-    amps = state.amplitudes
-    total = float(np.sum(np.abs(amps) ** 2))
-    if total == 0.0:
-        raise ValueError("state carries no amplitude")
-    return float(amps.size * np.abs(np.mean(amps)) ** 2 / total)
-
-
 def prepare_gaussian_by_diffusion(n_qubits: int, diffusion_time: float) -> QuantumState:
     """Diffuse the centered basis state into a near-Gaussian profile (L = 1).
 

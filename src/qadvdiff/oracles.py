@@ -253,7 +253,8 @@ def fd10_reference(config, field) -> ScalarField:
     spacing L/N_y instead; see the README.)  Advection uses the same per-row
     speeds as the quantum kernels.  Classical RK4 in time with a substep h
     bounded by the advective CFL limit and by the diffusive limit of the
-    finer of the two spacings; a non-finite result raises ValueError.
+    finer of the two spacings; a non-finite result raises ValueError, and so
+    does a field with a nonzero imaginary part.
 
     The x stencils are circulant, so the streamwise DFT block-diagonalizes
     the scheme exactly: streamwise mode k sees the scalars
@@ -269,7 +270,11 @@ def fd10_reference(config, field) -> ScalarField:
     """
     two_d = config.n_y > 0
     nx, ny = config.nx_points, config.ny_points
-    arr = np.array(getattr(field, "values", field), dtype=float)
+    arr = np.asarray(getattr(field, "values", field))
+    if np.any(np.imag(arr)):
+        raise ValueError("FD10 integrates a real field; the input has a nonzero "
+                         "imaginary part")
+    arr = np.array(np.real(arr), dtype=float)
     if two_d:
         arr = arr.reshape(nx, ny, order="F")
     d = config.diffusivity

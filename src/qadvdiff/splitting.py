@@ -237,7 +237,7 @@ def _build_stage(category: str, builder, offset: int, n_main: int, *args) -> _St
         mapping = {q: offset + q for q in range(n_own)}
         mapping.update({n_own + i: n_main + i for i in range(n_anc)})
         circuit = remap_circuit(circuit, mapping, n_main + n_anc)
-    circuit._program(True)
+    circuit._program()
     return _Stage(circuit, category, count_controlled_gates(circuit),
                   count_two_qubit_gates(circuit))
 
@@ -487,33 +487,3 @@ def commutator_error_estimate(config: ScenarioConfig, field) -> np.ndarray:
     est = np.real(est)
     return est.reshape(-1, order="F") if flat_in else est
 
-
-def decompose_steady_state(
-    field, gradients, offset: float, x: np.ndarray | None = None,
-    y: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a grid field into a linear steady part and the fluctuation.
-
-    The steady part is offset + x*gradients[0] (+ y*gradients[1] in 2D) on
-    normalized default coordinates (x = j/N_x periodic, y = q/(N_y - 1));
-    explicit coordinate vectors override the defaults.  Returns
-    (fluctuation, steady) with fluctuation + steady == field exactly.
-    """
-    arr = np.asarray(field, dtype=float)
-    if arr.ndim == 1:
-        gx = gradients[0] if np.ndim(gradients) else float(gradients)
-        coords = np.arange(arr.size) / arr.size if x is None else np.asarray(x)
-        steady = offset + gx * coords
-    elif arr.ndim == 2:
-        gx, gy = gradients
-        nx, ny = arr.shape
-        xv = np.arange(nx) / nx if x is None else np.asarray(x)
-        yv = (
-            (np.arange(ny) / (ny - 1) if ny > 1 else np.zeros(1))
-            if y is None
-            else np.asarray(y)
-        )
-        steady = offset + gx * xv[:, None] + gy * yv[None, :]
-    else:
-        raise ValueError(f"field must be 1D or 2D, got shape {arr.shape}")
-    return arr - steady, steady

@@ -6,28 +6,26 @@ Non-unitary damping blocks are realised with an ancilla qubit that is projected
 back onto ``|0>``; the accumulated postselection probability is tracked on the
 state as ``success_prob``.
 
-The register rule: with ``project_ancillas=True`` a state holds only the
-circuit's main qubits.  The declared ancillas must be the top qubits, touched
-only by damping gates that target them; each is a fresh |0> never stored.
-With ``project_ancillas=False`` (the deferred-measurement demo) a state holds
-every qubit.
+The register rule: a state holds only the circuit's main qubits.  The
+declared ancillas must be the top qubits, touched only by damping gates that
+target them; each is a fresh |0> never stored.  A circuit that declares no
+ancillas (the deferred-measurement demo) stores and runs every qubit.
 
 Circuits run through one compiled engine.  The first time ``apply_circuit``
 runs a circuit it compiles the gate list into a short program of in-place
-steps and caches it on the circuit, once per ``project_ancillas`` value;
-``Circuit.add`` drops the cache.  Every step acts on the amplitudes reshaped
-to a (2,)*n tensor, where qubit q is axis n-1-q, and pins control and target
-values with length-1 slices.  The steps therefore read and write strided
-views of the register; no index or mask array over the register is built.
+steps and caches it on the circuit; ``Circuit.add`` drops the cache.  Every
+step acts on the amplitudes reshaped to a (2,)*n tensor, where qubit q is
+axis n-1-q, and pins control and target values with length-1 slices.  The
+steps therefore read and write strided views of the register; no index or
+mask array over the register is built.
 
 - A run of consecutive phase and controlled-phase gates becomes one phase
   tensor over the qubits the run touches, broadcast onto the register.
-- With projection on, a run of consecutive damping gates on one declared
-  ancilla becomes one step: one real factor tensor exp(-sum gamma) on the
-  main register and one renormalization whose probability multiplies
-  ``success_prob``.  A run whose probability is below 1e-300 raises
-  ``postselection impossible``.
-- Hadamard, CNOT, swap and unprojected damping gates are one step each.
+- A run of consecutive damping gates on one declared ancilla becomes one
+  step: one real factor tensor exp(-sum gamma) on the main register and one
+  renormalization whose probability multiplies ``success_prob``.  A run whose
+  probability is below 1e-300 raises ``postselection impossible``.
+- Hadamard, CNOT, swap and damping gates on stored qubits are one step each.
 """
 
 from __future__ import annotations
@@ -140,15 +138,15 @@ def swap(a: int, b: int) -> GateOp:
 class Circuit:
     """Ordered gate list over ``n_qubits`` qubits.
 
-    ``ancilla_indices`` marks the damping ancillas, the top qubits: with
-    projection on, apply_circuit never stores them and projects each back onto
-    |0> right after each damping gate that targets it.
+    ``ancilla_indices`` marks the damping ancillas, the top qubits:
+    apply_circuit never stores them and projects each back onto |0> right
+    after each damping gate that targets it.
     """
 
     n_qubits: int
     gates: list[GateOp] = field(default_factory=list)
     ancilla_indices: frozenset[int] = frozenset()
-    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _compiled: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._check_qubits(self.ancilla_indices, "ancilla")
@@ -169,20 +167,20 @@ class Circuit:
     def add(self, gate: GateOp) -> None:
         self._check_gate(gate)
         self.gates.append(gate)
-        self._programs.clear()
+        self._compiled = None
 
     def extend(self, gates) -> None:
         for gate in gates:
             self.add(gate)
 
-    def _program(self, project_ancillas: bool) -> list:
-        """The compiled steps apply_circuit runs, built once per projection mode.
+    def _program(self) -> list:
+        """The compiled steps apply_circuit runs, built once.
 
         Change the gate list only through add/extend, which drop the cache.
         """
-        if project_ancillas not in self._programs:
-            self._programs[project_ancillas] = _compile(self, project_ancillas)
-        return self._programs[project_ancillas]
+        if self._compiled is None:
+            self._compiled = _compile(self)
+        return self._compiled
 
 
 @dataclass
@@ -351,18 +349,6 @@ def _gate_step(n_qubits: int, gate: GateOp):
     return _matrix_step(n_qubits, gate)
 
 
-def _renormalize(kept: np.ndarray, state: QuantumState, ancilla: int) -> None:
-    """Normalize the kept |0> branch and fold its probability into the state."""
-    p_zero = float(np.vdot(kept, kept).real)
-    if p_zero < _MIN_POSTSELECT_PROB:
-        raise ValueError(
-            f"postselection impossible: ancilla {ancilla} holds |0> with "
-            f"probability {p_zero:.3e}"
-        )
-    kept /= np.sqrt(p_zero)
-    state.success_prob *= min(p_zero, 1.0)
-
-
 def _projected_damping_step(n_qubits: int, gates):
     """A run of damping gates on one unstored ancilla, each followed by its projection.
 
@@ -376,21 +362,28 @@ def _projected_damping_step(n_qubits: int, gates):
 
     def step(psi, state):
         scale(psi, state)
-        _renormalize(psi, state, ancilla)
+        p_zero = float(np.vdot(psi, psi).real)
+        if p_zero < _MIN_POSTSELECT_PROB:
+            raise ValueError(
+                f"postselection impossible: ancilla {ancilla} holds |0> with "
+                f"probability {p_zero:.3e}"
+            )
+        psi /= np.sqrt(p_zero)
+        state.success_prob *= min(p_zero, 1.0)
 
     return step
 
 
-def _compile(circuit: "Circuit", project_ancillas: bool) -> list:
+def _compile(circuit: "Circuit") -> list:
     """Turn a circuit into steps that act in place on the register tensor.
 
-    Each run of (controlled) phase gates becomes one phase-tensor step.  With
-    ``project_ancillas``, the ancillas are left out of the register and each
-    run of damping gates on one becomes one postselected step; an ancilla
-    below the top or touched other than as a damping target raises.  Every
-    other gate is a step of its own.
+    Each run of (controlled) phase gates becomes one phase-tensor step.  The
+    declared ancillas are left out of the register and each run of damping
+    gates on one becomes one postselected step; an ancilla below the top or
+    touched other than as a damping target raises.  Every other gate is a
+    step of its own.
     """
-    projected = circuit.ancilla_indices if project_ancillas else frozenset()
+    projected = circuit.ancilla_indices
     n = circuit.n_qubits - len(projected)
     if n < 1 or projected != frozenset(range(n, circuit.n_qubits)):
         raise ValueError(
@@ -403,7 +396,7 @@ def _compile(circuit: "Circuit", project_ancillas: bool) -> list:
             touched.add(gate.target)
         if touched & projected:
             raise ValueError(f"{gate} touches a projected ancilla other than "
-                             f"as a damping target (use project_ancillas=False)")
+                             f"as a damping target (declare no ancillas to store it)")
 
     def run_key(gate: GateOp):
         if gate.kind in _PHASE_KINDS:
@@ -425,31 +418,17 @@ def _compile(circuit: "Circuit", project_ancillas: bool) -> list:
     return steps
 
 
-def project_ancilla_zero(state: QuantumState, ancilla: int) -> QuantumState:
-    """Postselect qubit ``ancilla`` on |0>: zero the |1> branch, renormalize,
-    and fold the branch probability into ``success_prob``."""
-    if not 0 <= ancilla < state.n_qubits:
-        raise ValueError(f"ancilla {ancilla} outside register of {state.n_qubits}")
-    out = state.copy()
-    psi = _register(out)
-    psi[_pins(out.n_qubits, ((ancilla, 1),))] = 0.0
-    _renormalize(psi[_pins(out.n_qubits, ((ancilla, 0),))], out, ancilla)
-    return out
-
-
-def apply_circuit(
-    state: QuantumState, circuit: Circuit, project_ancillas: bool = True
-) -> QuantumState:
+def apply_circuit(state: QuantumState, circuit: Circuit) -> QuantumState:
     """Run a circuit through its compiled program.
 
-    With ``project_ancillas`` (the default) the state holds only the main
-    qubits and each ancilla, never stored, is projected onto |0> after each
-    damping gate on it; with False the state holds every qubit and nothing is
-    projected (the fresh-ancilla export defers all measurements to the end).
-    The program is compiled on first use and cached on the circuit.
+    The state holds only the main qubits: each declared ancilla, never
+    stored, is projected onto |0> after each damping gate on it.  A circuit
+    that declares no ancillas runs on every qubit and projects nothing (the
+    fresh-ancilla export defers all measurements to the end).  The program is
+    compiled on first use and cached on the circuit.
     """
-    program = circuit._program(project_ancillas)
-    unstored = len(circuit.ancilla_indices) if project_ancillas else 0
+    program = circuit._program()
+    unstored = len(circuit.ancilla_indices)
     if state.n_qubits != circuit.n_qubits - unstored:
         raise ValueError(
             f"circuit spans {circuit.n_qubits} qubits with {unstored} unstored "

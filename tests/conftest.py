@@ -56,26 +56,30 @@ def circuit_operator(circuit: Circuit) -> np.ndarray:
     return op
 
 
-def reference_apply(circuit: Circuit, vec: np.ndarray, project_ancillas: bool = True):
+def reference_apply(circuit: Circuit, vec: np.ndarray):
     """Gate-by-gate dense execution of a circuit on ``vec``.
 
-    With ``project_ancillas``, every damping gate on a declared ancilla is
-    followed by projecting that ancilla onto |0> and renormalizing.  Returns
-    the amplitudes and the product of the projection probabilities.
+    Every damping gate on a declared ancilla is followed by projecting that
+    ancilla onto |0> and renormalizing.  Returns the amplitudes and the
+    product of the projection probabilities.
     """
     n = circuit.n_qubits
     out = np.array(vec, dtype=complex)
     success = 1.0
     for gate in circuit.gates:
         out = gate_operator(gate, n) @ out
-        if (project_ancillas and gate.kind is GateKind.DAMPING
-                and gate.target in circuit.ancilla_indices):
+        if gate.kind is GateKind.DAMPING and gate.target in circuit.ancilla_indices:
             one = [((i >> gate.target) & 1) == 1 for i in range(1 << n)]
             out[one] = 0.0
             p_zero = float(np.vdot(out, out).real)
             out /= np.sqrt(p_zero)
             success *= p_zero
     return out, success
+
+
+def undeclared(circuit: Circuit) -> Circuit:
+    """The same gates with no ancillas declared: every qubit is stored."""
+    return Circuit(circuit.n_qubits, list(circuit.gates))
 
 
 def random_state_vector(n_qubits: int, seed: int) -> np.ndarray:

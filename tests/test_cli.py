@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qadvdiff import cli
 from qadvdiff.cli import main
 from qadvdiff.config import load_config
 from qadvdiff.splitting import (
@@ -255,6 +256,27 @@ class TestConverge:
                    "--out-dir", str(tmp_path), "--grid-sizes", "12"])
         assert rc == 1
         assert "power of two" in capsys.readouterr().err
+
+    def test_zero_grid_size_names_the_grid_size(self, pulse_cfg, tmp_path,
+                                                capsys):
+        rc = main(["converge", "--config", pulse_cfg,
+                   "--out-dir", str(tmp_path), "--grid-sizes", "0"])
+        assert rc == 1
+        assert ("grid size must be a power of two >= 4, got 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("reference", ["self", "fd10"])
+    def test_step_counts_checked_before_any_run(self, shear_cfg, tmp_path,
+                                                monkeypatch, capsys, reference):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("run_scenario called before validation")
+
+        monkeypatch.setattr(cli, "run_scenario", unexpected)
+        monkeypatch.setattr(cli, "fd10_reference", unexpected)
+        rc = main(["converge", "--config", shear_cfg, "--out-dir", str(tmp_path),
+                   "--step-counts", "4", "0", "--reference", reference])
+        assert rc == 1
+        assert "step counts must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestGatecount:

@@ -1,9 +1,14 @@
 """Fresh-ancilla demo circuit: exact profile, sampling bands, text listing."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import undeclared
 from qadvdiff import demo
 from qadvdiff.demo import (
     DEMO_ALPHA,
@@ -16,6 +21,9 @@ from qadvdiff.demo import (
     run_demo,
 )
 from qadvdiff.state import GateKind, apply_circuit, hadamard, new_state
+
+
+RECORDED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "demo_digests.json"
 
 
 def physical_profile(n_qubits: int) -> np.ndarray:
@@ -79,8 +87,7 @@ class TestIdealProfile:
 
     def test_joint_block_is_real(self):
         circuit = build_demo_circuit(3)
-        joint = apply_circuit(new_state(circuit.n_qubits), circuit,
-                              project_ancillas=False)
+        joint = apply_circuit(new_state(circuit.n_qubits), undeclared(circuit))
         assert np.max(np.abs(joint.amplitudes[:8].imag)) < 1e-14
 
     def test_beta_controls_mode_damping(self):
@@ -112,6 +119,17 @@ class TestSampling:
         for seed in seeds:
             total += run_demo(3, shots=2000, seed=seed).inside_band_fraction
         assert total / len(seeds) >= 0.95
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_counts_match_the_recorded_digests(self, seed):
+        # kept counts hashed as the benchmark does: sha256 of the <i8 bytes
+        recorded = json.loads(RECORDED_DIGESTS.read_text())
+        assert (recorded["n_qubits"], recorded["shots"]) == (5, 10_000)
+        result = run_demo(5, shots=10_000, seed=seed)
+        counts = np.rint(result.sampled_amplitudes**2 * 10_000).astype("<i8")
+        digest = hashlib.sha256(counts.tobytes()).hexdigest()[:16]
+        expected = recorded["seeds"][str(seed)]
+        assert (digest, int(counts.sum())) == (expected["digest"], expected["kept"])
 
     def test_shot_guard(self):
         with pytest.raises(ValueError, match="shots"):

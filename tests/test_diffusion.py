@@ -13,11 +13,10 @@ from qadvdiff.diffusion import (
     halfspectrum_damping_terms,
     periodic_damping_terms,
     prepare_gaussian_by_diffusion,
-    worst_case_success,
 )
 from qadvdiff.oracles import diagonal_propagator_oracle
 from qadvdiff.state import QuantumState, apply_circuit, damping_matrix
-from qadvdiff.transforms import BoundaryKind, wavenumbers
+from qadvdiff.transforms import BoundaryKind, build_qft_circuit, wavenumbers
 
 
 def signed_modes(n_points: int) -> np.ndarray:
@@ -147,23 +146,30 @@ class TestParams:
 
 
 class TestSuccessFloor:
+    """Long diffusion keeps only the mean mode: success -> N*|mean|^2."""
+
+    @staticmethod
+    def long_diffusion_success(amps) -> float:
+        n = amps.size.bit_length() - 1
+        state = apply_circuit(QuantumState(n, amps), build_qft_circuit(n, inverse=True))
+        return apply_circuit(state, build_periodic_diffusion(n, 50.0)).success_prob
+
     def test_uniform_state_always_succeeds(self):
-        state = QuantumState(3, np.full(8, np.sqrt(1.0 / 8.0), dtype=complex))
-        assert_allclose(worst_case_success(state), 1.0)
+        amps = np.full(8, np.sqrt(1.0 / 8.0), dtype=complex)
+        assert_allclose(self.long_diffusion_success(amps), 1.0)
 
     def test_zero_mean_state_never_survives(self):
         amps = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex) / 2.0
-        assert_allclose(worst_case_success(QuantumState(2, amps)), 0.0,
-                        atol=1e-15)
+        assert_allclose(self.long_diffusion_success(amps), 0.0, atol=1e-15)
 
     def test_basis_state_floor_is_one_over_n(self):
         amps = np.zeros(8, dtype=complex)
         amps[5] = 1.0
-        assert_allclose(worst_case_success(QuantumState(3, amps)), 1.0 / 8.0)
+        assert_allclose(self.long_diffusion_success(amps), 1.0 / 8.0)
 
     def test_empty_state_rejected(self):
-        with pytest.raises(ValueError, match="no amplitude"):
-            worst_case_success(QuantumState(2, np.zeros(4, dtype=complex)))
+        with pytest.raises(ValueError, match="postselection impossible"):
+            self.long_diffusion_success(np.zeros(4, dtype=complex))
 
 
 class TestGaussianPreparation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import reference_apply, random_state_vector
+from conftest import reference_apply, random_state_vector, undeclared
 from qadvdiff.advection import (
     VelocityProfile,
     build_shear_advection,
@@ -30,21 +30,22 @@ from qadvdiff.transforms import BoundaryKind, build_qft_circuit
 TOL = 1e-13
 
 
-def assert_matches_reference(circuit: Circuit, seed: int,
-                             projections=(True, False)) -> None:
-    """The engine against dense execution, with and without projection.
+def assert_matches_reference(circuit: Circuit, seed: int) -> None:
+    """The engine against dense execution, as declared and as an undeclared copy.
 
-    With projection on, the engine runs on a main-register state and the
-    reference on that state with every ancilla (the top qubits) in |0>; the
-    reference's ancilla half must stay empty and its main block must match.
+    As declared, the engine runs on a main-register state and the reference
+    on that state with every ancilla (the top qubits) in |0>; the reference's
+    ancilla half must stay empty and its main block must match.  The copy
+    declares no ancillas, so both store and run every qubit.
     """
-    for project in projections:
-        n_main = circuit.n_qubits - (len(circuit.ancilla_indices) if project else 0)
+    variants = [circuit, undeclared(circuit)] if circuit.ancilla_indices else [circuit]
+    for variant in variants:
+        n_main = variant.n_qubits - len(variant.ancilla_indices)
         vec = random_state_vector(n_main, seed)
-        joint = np.zeros(1 << circuit.n_qubits, dtype=complex)
+        joint = np.zeros(1 << variant.n_qubits, dtype=complex)
         joint[:vec.size] = vec
-        expected, success = reference_apply(circuit, joint, project)
-        out = apply_circuit(QuantumState(n_main, vec.copy()), circuit, project)
+        expected, success = reference_apply(variant, joint)
+        out = apply_circuit(QuantumState(n_main, vec.copy()), variant)
         assert_allclose(expected[vec.size:], 0.0, rtol=0, atol=TOL)
         assert_allclose(out.amplitudes, expected[:vec.size], rtol=0, atol=TOL)
         assert_allclose(out.success_prob, success, rtol=0, atol=TOL)
@@ -120,9 +121,9 @@ def test_gates_pinning_every_qubit(gates, ancillas):
                            g.partner or 0) for g in gates)
     circuit = Circuit(n_qubits, list(gates), frozenset(ancillas))
     # Both cases with an ancilla also touch it with other gates, which only
-    # the unprojected path runs.
+    # a circuit that declares no ancillas runs.
     for seed in range(3):
-        assert_matches_reference(circuit, seed, (False,) if ancillas else (True, False))
+        assert_matches_reference(undeclared(circuit) if ancillas else circuit, seed)
     if ancillas:
         state = QuantumState(n_qubits, random_state_vector(n_qubits, 0))
         with pytest.raises(ValueError, match="projected ancilla"):
@@ -143,7 +144,7 @@ def test_projection_rejects_touched_or_low_ancillas(n_qubits, gates, ancilla):
         state = QuantumState(size, random_state_vector(size, 4))
         with pytest.raises(ValueError, match="projected ancilla"):
             apply_circuit(state, circuit)
-    assert_matches_reference(circuit, seed=4, projections=(False,))
+    assert_matches_reference(undeclared(circuit), seed=4)
 
 
 def test_projection_rejects_a_joint_size_state():
@@ -151,7 +152,7 @@ def test_projection_rejects_a_joint_size_state():
     state = QuantumState(3, random_state_vector(3, 5))
     with pytest.raises(ValueError, match="needs 2 qubits, got 3"):
         apply_circuit(state, circuit)
-    assert apply_circuit(state, circuit, project_ancillas=False).n_qubits == 3
+    assert apply_circuit(state, undeclared(circuit)).n_qubits == 3
 
 
 def test_extending_a_circuit_recompiles_it():

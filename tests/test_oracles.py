@@ -298,6 +298,18 @@ class TestFiniteDifferenceReference:
         result = fd10_reference(config, wrapped)
         assert result.values.shape == (16,)
 
+    def test_imaginary_part_is_rejected_not_dropped(self):
+        # the real-part-only reference of 1j * field would be all zeros
+        config = ScenarioConfig(4, 2, VelocityProfile.couette(), 0.01, 0.1)
+        field = initial_scalar_field(config)
+        with pytest.raises(ValueError, match="imaginary part"):
+            fd10_reference(config, 1j * field)
+        with pytest.raises(ValueError, match="imaginary part"):
+            fd10_reference(config, ScalarField(field + 1e-9j, dx=1.0 / 16.0))
+        complex_zero_imag = np.asarray(field, dtype=complex)
+        assert np.array_equal(fd10_reference(config, complex_zero_imag).values,
+                              fd10_reference(config, np.real(field)).values)
+
     def test_fine_wall_grid_stays_finite(self):
         # n_y > n_x makes dy < dx; a substep bounded by dx alone blew up to NaN
         config = ScenarioConfig(3, 6, VelocityProfile.couette(), 0.05, 1.0,

@@ -1,7 +1,8 @@
 """Property tests: transform round trips, QFT adjoint, error_norm invariances,
 runs that match the split oracle and read out their checkpoints exactly,
-runs that do not depend on what the stage memo already holds, and the
-per-mode FD10 integrator against its real-space form."""
+runs that do not depend on what the stage memo already holds, the
+per-mode FD10 integrator against its real-space form, and config files that
+parse to the settings they spell out."""
 
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from conftest import fd10_direct, random_state_vector
 from qadvdiff.advection import VelocityProfile
+from qadvdiff.config import RunSettings, parse_config
 from qadvdiff.oracles import error_norm, fd10_reference, split_propagation_oracle
 from qadvdiff.splitting import (
     ScenarioConfig,
@@ -172,3 +174,89 @@ def test_fd10_modes_match_the_real_space_integrator(config, seed):
     values = fd10_reference(config, field).values
     assert values.shape == expected.shape
     assert_allclose(values, expected, rtol=0, atol=1e-11 * np.max(np.abs(expected)))
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+NAMED_PROFILES = ("uniform", "couette", "poiseuille", "blasius")
+
+
+@st.composite
+def config_files(draw):
+    """(config text, the RunSettings it spells out), every key drawn.
+
+    Optional keys are left out at random (their default applies), the lines
+    are shuffled, floats are written with repr, and comments and blank lines
+    are mixed in.
+    """
+    n_y = draw(st.integers(0, 3))
+    coefficient = st.floats(-5.0, 5.0, **FINITE)
+    if n_y:
+        profile = draw(st.sampled_from(NAMED_PROFILES).map(VelocityProfile.named)
+                       | st.lists(coefficient, min_size=1, max_size=5)
+                       .map(VelocityProfile.custom))
+    else:
+        # a 1D run only takes order-0 profiles; trailing zeros keep order 0
+        profile = draw(st.just(VelocityProfile.uniform()) | st.builds(
+            lambda c, zeros: VelocityProfile.custom([c] + [0.0] * zeros),
+            coefficient, st.integers(0, 3)))
+    splitting = draw(st.sampled_from(["trotter", "strang"]))
+    n_x = draw(st.integers(2, 6))
+    size = (1 << n_x) * ((1 << n_y) if n_y else 1)
+    scenario = ScenarioConfig(
+        n_x=n_x, n_y=n_y, profile=profile,
+        diffusivity=draw(st.floats(0.0, 1.0, **FINITE)),
+        t_final=draw(st.floats(0.0, 10.0, **FINITE)),
+        n_steps=draw(st.integers(1, 64)),
+        length=draw(st.floats(0.0, 100.0, exclude_min=True, **FINITE)),
+        velocity_scale=draw(st.floats(-10.0, 10.0, **FINITE)),
+        splitting=splitting,
+        bc_y=draw(st.sampled_from(list(BoundaryKind))),
+        checkpoints=draw(st.integers(1, 20)),
+        merge_strang=splitting == "strang" and draw(st.booleans()),
+    )
+    initial = draw(st.sampled_from(["gaussian", "uniform"])
+                   | st.integers(0, size - 1).map("basis:{}".format))
+    reference = draw(st.sampled_from(["auto", "oracle", "analytic", "fd10", "none"]))
+    if profile.label == "custom":
+        profile_text = "[" + ", ".join(map(repr, profile.coefficients)) + "]"
+    else:
+        profile_text = profile.label
+    required = {"n_x": str(n_x), "profile": profile_text,
+                "D": repr(scenario.diffusivity), "t_final": repr(scenario.t_final)}
+    optional = {
+        "n_y": str(n_y), "L": repr(scenario.length),
+        "U": repr(scenario.velocity_scale), "steps": str(scenario.n_steps),
+        "splitting": splitting, "bc_x": "periodic", "bc_y": scenario.bc_y.value,
+        "checkpoints": str(scenario.checkpoints),
+        "merge_strang": draw(st.sampled_from([str.lower, str.upper, str.title]))(
+            str(scenario.merge_strang)),
+        "initial": initial, "reference": reference,
+    }
+    defaults = ScenarioConfig(n_x, 0, VelocityProfile.uniform(), 0.0, 0.0)
+    omittable = {"n_y": n_y == 0, "L": scenario.length == defaults.length,
+                 "U": scenario.velocity_scale == defaults.velocity_scale,
+                 "steps": scenario.n_steps == defaults.n_steps,
+                 "splitting": splitting == defaults.splitting, "bc_x": True,
+                 "bc_y": scenario.bc_y is defaults.bc_y,
+                 "checkpoints": scenario.checkpoints == defaults.checkpoints,
+                 "merge_strang": not scenario.merge_strang,
+                 "initial": initial == "gaussian", "reference": reference == "auto"}
+    keys = list(required) + [k for k in optional
+                             if not (omittable[k] and draw(st.booleans()))]
+    values = {**required, **optional}
+    spacing = st.sampled_from(["", " ", "  ", "\t"])
+    comment = st.sampled_from(["", "  # trailing note", "# x = 1"])
+    lines = []
+    for key in draw(st.permutations(keys)):
+        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "# comment", "#n_x = 99"]),
+                                   max_size=2)))
+        lines.append(f"{draw(spacing)}{key}{draw(spacing)}={draw(spacing)}"
+                     f"{values[key]}{draw(comment)}")
+    return "\n".join(lines) + "\n", RunSettings(scenario, initial, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_files())
+def test_configs_round_trip_through_parse_config(case):
+    text, expected = case
+    assert parse_config(text) == expected

@@ -24,7 +24,6 @@ from qadvdiff.splitting import (
     _shared_stage,
     _Stepper,
     commutator_error_estimate,
-    decompose_steady_state,
     initial_scalar_field,
     run_scenario,
     x_coordinates,
@@ -488,31 +487,3 @@ class TestCommutatorEstimate:
         grid = flat.reshape(8, 4, order="F")
         assert commutator_error_estimate(config, flat).shape == (32,)
         assert commutator_error_estimate(config, grid).shape == (8, 4)
-
-
-class TestSteadyStateDecomposition:
-    def test_one_dimensional_split_is_exact(self):
-        x = np.arange(8) / 8.0
-        field = 2.0 + 3.0 * x + np.sin(2.0 * np.pi * x)
-        fluctuation, steady = decompose_steady_state(field, 3.0, 2.0)
-        assert_allclose(steady, 2.0 + 3.0 * x)
-        assert_allclose(fluctuation + steady, field)
-
-    def test_two_dimensional_gradients(self):
-        nx, ny = 8, 5
-        x = np.arange(nx) / nx
-        y = np.arange(ny) / (ny - 1)
-        field = 1.0 + 0.5 * x[:, None] - 2.0 * y[None, :]
-        fluctuation, steady = decompose_steady_state(field, (0.5, -2.0), 1.0)
-        assert_allclose(steady, field)
-        assert_allclose(fluctuation, np.zeros_like(field), atol=1e-14)
-
-    def test_explicit_coordinates_override_defaults(self):
-        field = np.array([0.0, 10.0, 20.0])
-        x = np.array([0.0, 1.0, 2.0])
-        fluctuation, steady = decompose_steady_state(field, 10.0, 0.0, x=x)
-        assert_allclose(fluctuation, np.zeros(3), atol=1e-14)
-
-    def test_higher_rank_rejected(self):
-        with pytest.raises(ValueError, match="1D or 2D"):
-            decompose_steady_state(np.zeros((2, 2, 2)), (0.0, 0.0), 0.0)

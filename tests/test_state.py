@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import circuit_operator, gate_operator, random_state_vector
+from conftest import circuit_operator, gate_operator, random_state_vector, undeclared
 from qadvdiff.state import (
     Circuit,
     GateKind,
@@ -21,7 +21,6 @@ from qadvdiff.state import (
     max_qubits,
     new_state,
     phase,
-    project_ancilla_zero,
     remap_circuit,
     sample_counts,
     swap,
@@ -192,34 +191,34 @@ class TestCircuitApplication:
         circuit = Circuit(2, ancilla_indices=frozenset({1}))
         circuit.add(hadamard(0))
         circuit.add(damping(1, 1.0, controls=((0, 1),)))
-        state = apply_circuit(new_state(2), circuit, project_ancillas=False)
+        state = apply_circuit(new_state(2), undeclared(circuit))
         assert state.success_prob == 1.0
         assert abs(state.amplitudes[3]) > 0.0
 
 
 class TestPostselection:
+    # damping(a, inf) on a declared ancilla a keeps exactly the branch where
+    # its controls fail, so each circuit below is a projective postselection.
     def test_projection_renormalizes_and_tracks_probability(self):
-        amps = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex) / 2.0
-        state = QuantumState(2, amps)
-        out = project_ancilla_zero(state, 1)
+        circuit = Circuit(3, [damping(2, np.inf, controls=((1, 1),))],
+                          frozenset({2}))
+        out = apply_circuit(QuantumState(2, np.full(4, 0.5, dtype=complex)), circuit)
         assert_allclose(out.amplitudes,
                         [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0, 0.0])
         assert_allclose(out.success_prob, 0.5)
 
     def test_success_prob_accumulates(self):
-        amps = np.full(4, 0.5, dtype=complex)
-        state = QuantumState(2, amps)
-        out = project_ancilla_zero(project_ancilla_zero(state, 0), 1)
+        circuit = Circuit(4, [damping(2, np.inf, controls=((0, 1),)),
+                              damping(3, np.inf, controls=((1, 1),))],
+                          frozenset({2, 3}))
+        out = apply_circuit(QuantumState(2, np.full(4, 0.5, dtype=complex)), circuit)
+        assert_allclose(out.amplitudes, [1.0, 0.0, 0.0, 0.0])
         assert_allclose(out.success_prob, 0.25)
 
     def test_impossible_projection_raises(self):
-        state = QuantumState(1, np.array([0.0, 1.0], dtype=complex))
+        circuit = Circuit(2, [damping(1, np.inf)], frozenset({1}))
         with pytest.raises(ValueError, match="postselection impossible"):
-            project_ancilla_zero(state, 0)
-
-    def test_ancilla_index_checked(self):
-        with pytest.raises(ValueError, match="outside"):
-            project_ancilla_zero(new_state(2), 5)
+            apply_circuit(new_state(1), circuit)
 
 
 class TestEncoding:
