@@ -10,6 +10,7 @@ which includes both endpoints 0 and 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -114,13 +115,15 @@ class PhaseTerm:
     y_controls: tuple[int, ...]
 
 
-def expand_profile_phases(profile: VelocityProfile, n_y: int) -> list[PhaseTerm]:
+@functools.lru_cache(maxsize=32)
+def expand_profile_phases(profile: VelocityProfile, n_y: int) -> tuple[PhaseTerm, ...]:
     """Expand u(y)/U over products of wall-normal qubits, exactly.
 
     Arithmetic runs in Fraction space over the integers 2**r and 2**n - 1, so
     coefficients are exact until the final float conversion.  Profiles beyond
     order 4 are rejected: the term count grows as n_y^h and the named profiles
-    all have h <= 2.
+    all have h <= 2.  The expansion depends on (profile, n_y) only, not on dt
+    or U, so the last 32 are kept and every run of a step sweep shares one.
     """
     h = profile.order
     if h > MAX_PROFILE_ORDER:
@@ -130,7 +133,7 @@ def expand_profile_phases(profile: VelocityProfile, n_y: int) -> list[PhaseTerm]
     if n_y == 0:
         if h > 0:
             raise ValueError("a sheared profile needs a wall-normal register")
-        return [PhaseTerm(float(profile.coefficients[0]), ())]
+        return (PhaseTerm(float(profile.coefficients[0]), ()),)
     denom = (1 << n_y) - 1
     terms: dict[frozenset[int], Fraction] = {}
     for m, c in enumerate(profile.coefficients[: h + 1]):
@@ -144,12 +147,9 @@ def expand_profile_phases(profile: VelocityProfile, n_y: int) -> list[PhaseTerm]
             key = frozenset(combo)
             weight = cm * (1 << sum(combo))
             terms[key] = terms.get(key, Fraction(0)) + weight
-    out = []
-    for key in sorted(terms, key=lambda s: (len(s), sorted(s))):
-        value = terms[key]
-        if value != 0:
-            out.append(PhaseTerm(float(value), tuple(sorted(key))))
-    return out
+    return tuple(PhaseTerm(float(terms[key]), tuple(sorted(key)))
+                 for key in sorted(terms, key=lambda s: (len(s), sorted(s)))
+                 if terms[key] != 0)
 
 
 def _streamwise_pattern(n_x: int, angle: float, controls) -> list[GateOp]:

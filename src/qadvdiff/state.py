@@ -17,15 +17,28 @@ steps and caches it on the circuit; ``Circuit.add`` drops the cache.  Every
 step acts on the amplitudes reshaped to a (2,)*n tensor, where qubit q is
 axis n-1-q, and pins control and target values with length-1 slices.  The
 steps therefore read and write strided views of the register; no index or
-mask array over the register is built.
+mask array over the register is kept, and the compiler builds index arrays
+only over the qubits one factor tensor spans.
 
+- CNOT and swap gates, with any controls, only permute basis states.  They
+  are held in a pending frame instead of being run.  A gate equal to the
+  frame's last gate cancels it.
 - A run of consecutive phase and controlled-phase gates becomes one phase
-  tensor over the qubits the run touches, broadcast onto the register.
+  tensor, built in one vectorized pass: each gate's angle is scattered as
+  coefficients of the bit products its pins expand into (a value-0 pin b
+  as 1 - b), then one subset-sum pass per axis sums them.  Under a pending
+  frame the step runs before the frame's gates, so the tensor is re-indexed
+  through the frame; it spans only the qubits the run and the frame touch.
 - A run of consecutive damping gates on one declared ancilla becomes one
-  step: one real factor tensor exp(-sum gamma) on the main register and one
-  renormalization whose probability multiplies ``success_prob``.  A run whose
-  probability is below 1e-300 raises ``postselection impossible``.
-- Hadamard, CNOT, swap and damping gates on stored qubits are one step each.
+  step in the same way: one real factor tensor exp(-sum gamma) on the main
+  register, under the frame, and one renormalization whose probability
+  multiplies ``success_prob``.  A run whose probability is below 1e-300
+  raises ``postselection impossible``.
+- Hadamard and damping gates on stored qubits first emit the frame, one
+  exchange step per deferred gate, and are then one step each.  The end of
+  the circuit emits what the frame still holds.  A frame that cancels
+  completely emits nothing: the periodic damping ladder (CNOT fold, damping,
+  fold undone) is one step.
 """
 
 from __future__ import annotations
@@ -279,23 +292,74 @@ def _pins(n_qubits: int, pins) -> tuple[slice, ...]:
     return tuple(index)
 
 
-def _diagonal_step(n_qubits: int, terms, scale: complex):
+def _exponent_table(n_span: int, terms) -> np.ndarray:
+    """Summed term values at every index of a span of ``n_span`` local bits.
+
+    ``terms`` are (pins, value) pairs over local bit positions.  Each value is
+    scattered as coefficients of the bit products it expands into (a value-0
+    pin b expands as 1 - b), and one subset-sum pass per bit turns the
+    coefficients into the sum over every term whose pins hold.
+    """
+    index, weight = [], []
+    for pins, value in terms:
+        subsets, signs = [0], [value]
+        for j, v in pins:
+            if v:
+                subsets = [s | 1 << j for s in subsets]
+            else:
+                subsets += [s | 1 << j for s in subsets]
+                signs += [-w for w in signs]
+        index += subsets
+        weight += signs
+    table = np.bincount(index, weight, minlength=1 << n_span)
+    for j in range(n_span):
+        halves = table.reshape(-1, 2, 1 << j)
+        halves[:, 1] += halves[:, 0]
+    return table
+
+
+def _frame_map(bit: dict[int, int], frame) -> np.ndarray:
+    """Where the deferred gates ``frame`` send each local index.
+
+    Bit ``bit[q]`` of a local index holds qubit q; ``bit`` covers every qubit
+    the frame touches.
+    """
+    index = np.arange(1 << len(bit))
+    for gate in frame:
+        hold = np.ones(index.shape, dtype=bool)
+        for q, v in gate.controls:
+            hold &= (index >> bit[q] & 1) == v
+        flip = 1 << bit[gate.target]
+        if gate.kind is GateKind.SWAP:
+            hold &= (index >> bit[gate.target] ^ index >> bit[gate.partner]) & 1 == 1
+            flip |= 1 << bit[gate.partner]
+        index = np.where(hold, index ^ flip, index)
+    return index
+
+
+def _diagonal_step(n_qubits: int, terms, scale: complex, frame):
     """One step multiplying the register by exp(scale * summed exponents).
 
     ``terms`` are (pins, value) pairs; each adds ``value`` to the exponent on
-    the part of the register its pins select.  Pins shared by every term
-    select the view the factor tensor applies to; the other pinned qubits get
-    length-2 axes and every remaining axis has length 1, so the tensor
-    broadcasts onto that view.
+    the part of the register its pins select.  The step runs before the
+    deferred gates ``frame``, so the exponent at each index is the one at the
+    index the frame sends it to.  Pins shared by every term on qubits the
+    frame does not touch select the view the factor applies to; the factor
+    spans the other pinned qubits and the frame's, and broadcasts onto that
+    view.
     """
+    framed = {q for g in frame for q in _gate_qubits(g)}
     common = set.intersection(*(set(pins) for pins, _ in terms))
-    free = {q for pins, _ in terms for q, _ in pins} - {q for q, _ in common}
-    total = np.zeros([2 if n_qubits - 1 - axis in free else 1
-                      for axis in range(n_qubits)])
-    for pins, value in terms:
-        part = total[_pins(n_qubits, [p for p in pins if p not in common])]
-        part += value
-    where, factor = _pins(n_qubits, common), np.exp(scale * total)
+    common = {(q, v) for q, v in common if q not in framed}
+    span = sorted(({q for pins, _ in terms for q, _ in pins} | framed)
+                  - {q for q, _ in common})
+    bit = {q: j for j, q in enumerate(span)}
+    table = _exponent_table(len(span), [([(bit[q], v) for q, v in pins if q in bit], value)
+                                        for pins, value in terms])
+    if frame:
+        table = table[_frame_map(bit, frame)]
+    shape = [2 if n_qubits - 1 - axis in bit else 1 for axis in range(n_qubits)]
+    where, factor = _pins(n_qubits, common), np.exp(scale * table).reshape(shape)
 
     def step(psi, state):
         view = psi[where]
@@ -324,9 +388,15 @@ def _matrix_step(n_qubits: int, gate: GateOp):
     return step
 
 
-def _exchange_step(n_qubits: int, pins_a, pins_b):
-    """Swap the amplitudes of two equally shaped parts of the register."""
-    ia, ib = _pins(n_qubits, pins_a), _pins(n_qubits, pins_b)
+def _exchange(n_qubits: int, gate: GateOp):
+    """A CNOT or swap as one step swapping two equally shaped parts of the register."""
+    if gate.kind is GateKind.SWAP:
+        t, p = gate.target, gate.partner
+        pins_a, pins_b = ((t, 1), (p, 0)), ((t, 0), (p, 1))
+    else:
+        pins_a, pins_b = ((gate.target, 0),), ((gate.target, 1),)
+    ia = _pins(n_qubits, gate.controls + pins_a)
+    ib = _pins(n_qubits, gate.controls + pins_b)
 
     def step(psi, state):
         a, b = psi[ia], psi[ib]
@@ -337,28 +407,37 @@ def _exchange_step(n_qubits: int, pins_a, pins_b):
     return step
 
 
-def _gate_step(n_qubits: int, gate: GateOp):
-    if gate.kind is GateKind.SWAP:
-        a, b = gate.target, gate.partner
-        return _exchange_step(n_qubits, gate.controls + ((a, 1), (b, 0)),
-                              gate.controls + ((a, 0), (b, 1)))
-    if gate.kind is GateKind.CNOT:
-        t = gate.target
-        return _exchange_step(n_qubits, gate.controls + ((t, 0),),
-                              gate.controls + ((t, 1),))
-    return _matrix_step(n_qubits, gate)
+def _gate_qubits(gate: GateOp) -> set[int]:
+    """Every qubit a gate touches: target, controls and swap partner."""
+    return {gate.target, gate.partner, *(q for q, _ in gate.controls)} - {None}
 
 
-def _projected_damping_step(n_qubits: int, gates):
+def _defer(frame: list, gate: GateOp) -> None:
+    """Add a CNOT or swap to the pending frame, or cancel it against the last one.
+
+    Both kinds are involutions, so a gate equal to the frame's last gate
+    (swap partners in either order, controls in any order) undoes it.
+    """
+    def key(g: GateOp):
+        return g.kind, {g.target, g.partner}, set(g.controls)
+
+    if frame and key(frame[-1]) == key(gate):
+        frame.pop()
+    else:
+        frame.append(gate)
+
+
+def _projected_damping_step(n_qubits: int, gates, frame):
     """A run of damping gates on one unstored ancilla, each followed by its projection.
 
     The ancilla is a fresh |0>, so a damping gate and its projection scale the
     main register by e^-gamma where the gate's controls hold.  The run is one
-    real factor tensor and one renormalization; the probability of the whole
-    run is the product of the per-gate ones.
+    real factor tensor, taken through the pending ``frame``, and one
+    renormalization; the probability of the whole run is the product of the
+    per-gate ones.
     """
     ancilla = gates[0].target
-    scale = _diagonal_step(n_qubits, [(g.controls, g.param) for g in gates], -1.0)
+    scale = _diagonal_step(n_qubits, [(g.controls, g.param) for g in gates], -1.0, frame)
 
     def step(psi, state):
         scale(psi, state)
@@ -377,11 +456,13 @@ def _projected_damping_step(n_qubits: int, gates):
 def _compile(circuit: "Circuit") -> list:
     """Turn a circuit into steps that act in place on the register tensor.
 
-    Each run of (controlled) phase gates becomes one phase-tensor step.  The
-    declared ancillas are left out of the register and each run of damping
-    gates on one becomes one postselected step; an ancilla below the top or
-    touched other than as a damping target raises.  Every other gate is a
-    step of its own.
+    CNOT and swap gates are held in a pending frame.  Each run of
+    (controlled) phase gates becomes one phase-tensor step under the frame.
+    The declared ancillas are left out of the register and each run of
+    damping gates on one becomes one postselected step under the frame; an
+    ancilla below the top or touched other than as a damping target raises.
+    Every other gate first emits the frame as exchange steps, then is a step
+    of its own; the end of the circuit emits what the frame still holds.
     """
     projected = circuit.ancilla_indices
     n = circuit.n_qubits - len(projected)
@@ -390,10 +471,10 @@ def _compile(circuit: "Circuit") -> list:
             f"projected ancillas {sorted(projected)} must be the top qubits of "
             f"the {circuit.n_qubits}-qubit register, above at least one main qubit"
         )
-    for gate in circuit.gates:
-        touched = {q for q, _ in gate.controls} | {gate.partner}
-        if gate.kind is not GateKind.DAMPING:
-            touched.add(gate.target)
+    for gate in circuit.gates if projected else ():
+        touched = _gate_qubits(gate)
+        if gate.kind is GateKind.DAMPING:
+            touched.discard(gate.target)
         if touched & projected:
             raise ValueError(f"{gate} touches a projected ancilla other than "
                              f"as a damping target (declare no ancillas to store it)")
@@ -401,20 +482,28 @@ def _compile(circuit: "Circuit") -> list:
     def run_key(gate: GateOp):
         if gate.kind in _PHASE_KINDS:
             return "phase"
+        if gate.kind in (GateKind.CNOT, GateKind.SWAP):
+            return "frame"
         if gate.kind is GateKind.DAMPING and gate.target in projected:
             return gate.target
         return None
 
-    steps = []
+    steps, frame = [], []
     for key, run in itertools.groupby(circuit.gates, run_key):
         run = list(run)
-        if key is None:
-            steps.extend(_gate_step(n, gate) for gate in run)
+        if key == "frame":
+            for gate in run:
+                _defer(frame, gate)
         elif key == "phase":
             terms = [(g.controls + ((g.target, 1),), g.param) for g in run]
-            steps.append(_diagonal_step(n, terms, 1j))
+            steps.append(_diagonal_step(n, terms, 1j, frame))
+        elif key is None:
+            steps.extend(_exchange(n, gate) for gate in frame)
+            frame = []
+            steps.extend(_matrix_step(n, gate) for gate in run)
         else:
-            steps.append(_projected_damping_step(n, run))
+            steps.append(_projected_damping_step(n, run, frame))
+    steps.extend(_exchange(n, gate) for gate in frame)
     return steps
 
 
@@ -451,7 +540,6 @@ def sample_counts(state: QuantumState, shots: int, seed: int) -> np.ndarray:
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     probs = np.abs(state.amplitudes) ** 2
-    probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs)

@@ -16,6 +16,8 @@ from qadvdiff.diffusion import build_halfspectrum_diffusion, build_periodic_diff
 from qadvdiff.splitting import ScenarioConfig, _Stepper
 from qadvdiff.state import (
     Circuit,
+    GateKind,
+    GateOp,
     QuantumState,
     apply_circuit,
     build_fourier_initial_state,
@@ -194,3 +196,89 @@ def test_circuits_without_damping_preserve_the_norm(circuit, seed):
     state = QuantumState(circuit.n_qubits, random_state_vector(circuit.n_qubits, seed))
     out = apply_circuit(state, circuit)
     assert abs(out.norm() - 1.0) <= 1e-12
+
+
+@st.composite
+def engine_circuits(draw):
+    """Random circuits over every kind of step the engine compiles.
+
+    Blocks of deferred CNOT and swap gates (with 0- and 1-controls, swaps
+    also uncontrolled) alternate with runs of phases, Hadamards or damping
+    gates on declared ancillas; phases and Hadamards carry 0- and
+    1-controls.  A frame is sometimes undone in reverse right after its run,
+    as the periodic damping ladder is, and the circuit always ends on a
+    frame of its own.
+    """
+    n_main = draw(st.integers(1, 4))
+    n_qubits = n_main + draw(st.integers(0, 2))
+    ancillas = range(n_main, n_qubits)
+
+    def controls(qubits):
+        chosen = draw(st.lists(st.sampled_from(qubits), unique=True)) if qubits else []
+        return tuple((q, draw(st.integers(0, 1))) for q in chosen)
+
+    def frame():
+        gates = []
+        for _ in range(draw(st.integers(0, 3)) if n_main > 1 else 0):
+            order = draw(st.permutations(range(n_main)))
+            if draw(st.booleans()):
+                gates.append(GateOp(GateKind.CNOT, order[0],
+                                    ((order[1], draw(st.integers(0, 1))),)))
+            else:
+                gates.append(GateOp(GateKind.SWAP, order[0], controls(order[2:]),
+                                    partner=order[1]))
+        return gates
+
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        deferred = frame()
+        gates += deferred
+        kind = draw(st.sampled_from(["phase", "hadamard"] + ["damping"] * bool(ancillas)))
+        for _ in range(draw(st.integers(1, 3))):
+            if kind == "damping":
+                gates.append(damping(draw(st.sampled_from(ancillas)),
+                                     draw(st.floats(0.0, 3.0)),
+                                     controls(list(range(n_main)))))
+                continue
+            order = draw(st.permutations(range(n_main)))
+            if kind == "phase":
+                gates.append(phase(order[0], draw(st.floats(-7.0, 7.0)), controls(order[1:])))
+            else:
+                gates.append(hadamard(order[0], controls(order[1:])))
+        if draw(st.booleans()):
+            gates += deferred[::-1]
+    gates += frame()
+    return Circuit(n_qubits, gates, frozenset(ancillas))
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_circuits(), st.integers(0, 2**32 - 1))
+def test_random_circuits_match_the_reference(circuit, seed):
+    assert_matches_reference(circuit, seed)
+
+
+class TestDeferredFrame:
+    def test_damping_under_a_frame_still_names_its_ancilla(self):
+        # cnot(1, 0) sends |10> to |11>, where the damping empties the
+        # register; without the frame |10> would pass untouched.
+        circuit = Circuit(3, [cnot(1, 0), damping(2, float("inf"), ((0, 1),)), cnot(1, 0)],
+                          frozenset({2}))
+        vec = np.zeros(4, dtype=complex)
+        vec[0b10] = 1.0
+        with pytest.raises(ValueError, match="postselection impossible: ancilla 2"):
+            apply_circuit(QuantumState(2, vec), circuit)
+
+    def test_periodic_damping_ladder_is_one_step(self):
+        program = build_periodic_diffusion(6, 0.1)._program()
+        assert [step.__qualname__ for step in program] == [
+            "_projected_damping_step.<locals>.step"]
+
+    @pytest.mark.parametrize("n_qubits", [2, 5, 6])
+    def test_qft_closes_with_its_swaps(self, n_qubits):
+        program = build_qft_circuit(n_qubits)._program()
+        swaps = n_qubits // 2
+        assert len(program) == 2 * n_qubits - 1 + swaps
+        assert [step.__qualname__ for step in program[-swaps:]] == [
+            "_exchange.<locals>.step"] * swaps
+        assert "_exchange.<locals>.step" not in [
+            step.__qualname__ for step in program[:-swaps]]
