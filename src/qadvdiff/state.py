@@ -24,11 +24,12 @@ only over the qubits one factor tensor spans.
   are held in a pending frame instead of being run.  A gate equal to the
   frame's last gate cancels it.
 - A run of consecutive phase and controlled-phase gates becomes one phase
-  tensor, built in one vectorized pass: each gate's angle is scattered as
-  coefficients of the bit products its pins expand into (a value-0 pin b
-  as 1 - b), then one subset-sum pass per axis sums them.  Under a pending
-  frame the step runs before the frame's gates, so the tensor is re-indexed
-  through the frame; it spans only the qubits the run and the frame touch.
+  tensor, built in one vectorized pass: the gates are grouped by the qubits
+  they pin to 0, and each group's angles are scattered with one bincount
+  and summed with one subset-sum pass per axis; an entry only ever receives
+  the angles of gates whose pins hold there.  Under a pending frame the
+  step runs before the frame's gates, so the tensor is re-indexed through
+  the frame; it spans only the qubits the run and the frame touch.
 - A run of consecutive damping gates on one declared ancilla becomes one
   step in the same way: one real factor tensor exp(-sum gamma) on the main
   register, under the frame, and one renormalization whose probability
@@ -293,29 +294,31 @@ def _pins(n_qubits: int, pins) -> tuple[slice, ...]:
 
 
 def _exponent_table(n_span: int, terms) -> np.ndarray:
-    """Summed term values at every index of a span of ``n_span`` local bits.
+    """Summed term values over a (2,)*n_span tensor of local bits.
 
-    ``terms`` are (pins, value) pairs over local bit positions.  Each value is
-    scattered as coefficients of the bit products it expands into (a value-0
-    pin b expands as 1 - b), and one subset-sum pass per bit turns the
-    coefficients into the sum over every term whose pins hold.
+    ``terms`` are (pins, value) pairs over local bit positions.  Terms are
+    grouped by the bits they pin to 0; with those bits flipped every pin in
+    the group reads 1, so one bincount places each value at its pinned bits
+    and one subset-sum pass per bit carries it to every index above them.
+    An index only ever receives the values of terms whose pins hold there,
+    so no value is cancelled against another (an inf exponent stays inf).
     """
-    index, weight = [], []
+    groups: dict[int, tuple[list, list]] = {}
     for pins, value in terms:
-        subsets, signs = [0], [value]
-        for j, v in pins:
-            if v:
-                subsets = [s | 1 << j for s in subsets]
-            else:
-                subsets += [s | 1 << j for s in subsets]
-                signs += [-w for w in signs]
-        index += subsets
-        weight += signs
-    table = np.bincount(index, weight, minlength=1 << n_span)
-    for j in range(n_span):
-        halves = table.reshape(-1, 2, 1 << j)
-        halves[:, 1] += halves[:, 0]
-    return table
+        zeros = sum(1 << j for j, v in pins if not v)
+        index, weight = groups.setdefault(zeros, ([], []))
+        index.append(sum(1 << j for j, _ in pins))
+        weight.append(value)
+    total = np.zeros((2,) * n_span)
+    for zeros, (index, weight) in groups.items():
+        table = np.bincount(index, weight, minlength=1 << n_span)
+        for j in range(n_span):
+            halves = table.reshape(-1, 2, 1 << j)
+            halves[:, 1] += halves[:, 0]
+        total += table.reshape(total.shape)[tuple(
+            slice(None, None, -1) if zeros >> (n_span - 1 - axis) & 1 else slice(None)
+            for axis in range(n_span))]
+    return total
 
 
 def _frame_map(bit: dict[int, int], frame) -> np.ndarray:
@@ -357,7 +360,7 @@ def _diagonal_step(n_qubits: int, terms, scale: complex, frame):
     table = _exponent_table(len(span), [([(bit[q], v) for q, v in pins if q in bit], value)
                                         for pins, value in terms])
     if frame:
-        table = table[_frame_map(bit, frame)]
+        table = table.ravel()[_frame_map(bit, frame)]
     shape = [2 if n_qubits - 1 - axis in bit else 1 for axis in range(n_qubits)]
     where, factor = _pins(n_qubits, common), np.exp(scale * table).reshape(shape)
 

@@ -1,5 +1,7 @@
 """The compiled statevector engine against gate-by-gate dense execution."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +40,8 @@ def assert_matches_reference(circuit: Circuit, seed: int) -> None:
     As declared, the engine runs on a main-register state and the reference
     on that state with every ancilla (the top qubits) in |0>; the reference's
     ancilla half must stay empty and its main block must match.  The copy
-    declares no ancillas, so both store and run every qubit.
+    declares no ancillas, so both store and run every qubit.  Where the
+    reference projects onto an empty branch, the engine must raise.
     """
     variants = [circuit, undeclared(circuit)] if circuit.ancilla_indices else [circuit]
     for variant in variants:
@@ -46,7 +49,12 @@ def assert_matches_reference(circuit: Circuit, seed: int) -> None:
         vec = random_state_vector(n_main, seed)
         joint = np.zeros(1 << variant.n_qubits, dtype=complex)
         joint[:vec.size] = vec
-        expected, success = reference_apply(variant, joint)
+        with np.errstate(invalid="ignore"):
+            expected, success = reference_apply(variant, joint)
+        if not success > 0.0:
+            with pytest.raises(ValueError, match="postselection impossible"):
+                apply_circuit(QuantumState(n_main, vec.copy()), variant)
+            continue
         out = apply_circuit(QuantumState(n_main, vec.copy()), variant)
         assert_allclose(expected[vec.size:], 0.0, rtol=0, atol=TOL)
         assert_allclose(out.amplitudes, expected[:vec.size], rtol=0, atol=TOL)
@@ -205,9 +213,10 @@ def engine_circuits(draw):
     Blocks of deferred CNOT and swap gates (with 0- and 1-controls, swaps
     also uncontrolled) alternate with runs of phases, Hadamards or damping
     gates on declared ancillas; phases and Hadamards carry 0- and
-    1-controls.  A frame is sometimes undone in reverse right after its run,
-    as the periodic damping ladder is, and the circuit always ends on a
-    frame of its own.
+    1-controls.  Damping exponents include 1e17 and inf (the projection
+    damping(a, inf)).  A frame is sometimes undone in reverse right after
+    its run, as the periodic damping ladder is, and the circuit always ends
+    on a frame of its own.
     """
     n_main = draw(st.integers(1, 4))
     n_qubits = n_main + draw(st.integers(0, 2))
@@ -237,7 +246,8 @@ def engine_circuits(draw):
         for _ in range(draw(st.integers(1, 3))):
             if kind == "damping":
                 gates.append(damping(draw(st.sampled_from(ancillas)),
-                                     draw(st.floats(0.0, 3.0)),
+                                     draw(st.floats(0.0, 3.0)
+                                          | st.sampled_from([1e17, math.inf])),
                                      controls(list(range(n_main)))))
                 continue
             order = draw(st.permutations(range(n_main)))
@@ -267,6 +277,19 @@ class TestDeferredFrame:
         vec[0b10] = 1.0
         with pytest.raises(ValueError, match="postselection impossible: ancilla 2"):
             apply_circuit(QuantumState(2, vec), circuit)
+
+    @pytest.mark.parametrize("gates", [
+        [damping(2, math.inf, ((0, 0),)), damping(2, math.inf, ((1, 1),))],
+        [cnot(1, 0), damping(2, math.inf, ((0, 0),)), cnot(1, 0)],
+        [damping(2, 1e17, ((0, 0),)), damping(2, 1.0, ((0, 1),))],
+    ], ids=["inf", "inf-under-a-frame", "large-next-to-small"])
+    def test_damping_runs_with_0_controls_sum_exactly(self, gates):
+        # Each term adds only where its pins hold: an inf exponent never
+        # meets a -inf (NaN) and 1.0 is not lost next to 1e17.
+        circuit = Circuit(3, gates, frozenset({2}))
+        out = apply_circuit(QuantumState(2, random_state_vector(2, 7)), circuit)
+        assert np.all(np.isfinite(out.amplitudes)) and math.isfinite(out.success_prob)
+        assert_matches_reference(circuit, 7)
 
     def test_periodic_damping_ladder_is_one_step(self):
         program = build_periodic_diffusion(6, 0.1)._program()
