@@ -8,12 +8,14 @@ QFT.  Unlike the simulation path, every damping factor gets its own fresh
 ancilla so the whole sequence can run before any measurement; postselecting
 all ancillas on |0> succeeds with probability 3/4.
 
-The deferred-measurement joint state depends only on (n, alpha, beta), so
-``_joint_state`` keeps the last one it simulated (an LRU cache of one entry
-keyed by (n, alpha, beta), read-only amplitudes) and ``run_demo`` samples
-every seed of a repeated experiment from it.  Only registers of at most
-``_JOINT_MEMO_MAX_QUBITS`` (20, the n = 5 demo, 16 MB) are kept; larger ones
-are simulated on each call.
+``run_demo`` reads two things from the deferred-measurement joint state: the
+block where every ancilla reads 0 (2^n amplitudes) and the distribution its
+shots are drawn from.  Both depend only on (n, alpha, beta), so
+``_joint_state`` keeps them for the last parameter set it simulated (an LRU
+cache of one entry, read-only arrays) and every seed of a repeated experiment
+samples from them.  The joint register itself (2^(n + ancillas) amplitudes,
+16 MB at n = 5) is dropped: of its 2^20 probabilities at n = 5 only 96 are
+nonzero, and the kept distribution holds just those and the last bin.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .diffusion import periodic_damping_terms
 from .state import (
     Circuit,
     QuantumState,
+    ShotDistribution,
     _check_register_size,
+    _check_shots,
     apply_circuit,
     build_fourier_initial_state,
     cnot,
@@ -40,7 +44,6 @@ from .transforms import build_qft_circuit
 
 DEMO_ALPHA = -np.pi / 2.0
 DEMO_BETA = float(np.log(2.0))
-_JOINT_MEMO_MAX_QUBITS = 20
 
 
 def demo_ancilla_count(n_qubits: int) -> int:
@@ -91,13 +94,20 @@ def three_sigma_band(probs: np.ndarray, counts: np.ndarray, shots: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _joint_state(n_qubits: int, alpha: float, beta: float) -> QuantumState:
-    """The demo's gates run with no ancillas declared (all stored), read-only."""
+def _joint_state(n_qubits: int, alpha: float,
+                 beta: float) -> tuple[np.ndarray, ShotDistribution]:
+    """Kept block and shot distribution of the demo's joint register.
+
+    The gates run with no ancillas declared (all stored).  Only the first
+    2^n amplitudes (all ancillas 0) and the shot distribution over the
+    nonzero joint probabilities outlive the call; both are read-only.
+    """
     circuit = build_demo_circuit(n_qubits, alpha, beta)
     joint = apply_circuit(new_state(circuit.n_qubits),
                           Circuit(circuit.n_qubits, list(circuit.gates)))
-    joint.amplitudes.flags.writeable = False
-    return joint
+    block = joint.amplitudes[: 1 << n_qubits].copy()
+    block.flags.writeable = False
+    return block, ShotDistribution.of(joint)
 
 
 @dataclass
@@ -123,29 +133,28 @@ def run_demo(
 ) -> DemoResult:
     """Simulate the demo circuit and reconstruct it from sampled shots.
 
-    The joint register is sampled without projecting the ancillas, mimicking
-    a hardware run that measures every qubit; shots with any ancilla reading 1
-    are discarded by keeping only the first 2^n joint indices.  Reported
-    amplitudes are therefore unnormalized (their squared norm is the success
-    probability); see three_sigma_band for the bands.  The last joint state
-    of at most _JOINT_MEMO_MAX_QUBITS qubits is kept for the next call with
-    the same (n, alpha, beta); the circuit is built anew on each call.
+    Every qubit is measured, as on hardware: the shots are drawn from the
+    joint register's distribution without projecting the ancillas, and a
+    shot with any ancilla reading 1 is discarded by keeping only the first
+    2^n joint indices.  Reported amplitudes are therefore unnormalized
+    (their squared norm is the success probability); see three_sigma_band
+    for the bands.  ``shots`` must be a positive integer.
+
+    The kept block and the shot distribution of the last (n, alpha, beta)
+    are memoized (see the module docstring); the circuit is built anew and
+    the register size checked on each call.  ``sample_counts`` draws the
+    same counts from that distribution as from the full register (see
+    there why).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _check_shots(shots)
     circuit = build_demo_circuit(n_qubits, alpha, beta)
     _check_register_size(circuit.n_qubits)
-    if circuit.n_qubits <= _JOINT_MEMO_MAX_QUBITS:
-        joint = _joint_state(n_qubits, alpha, beta)
-    else:
-        joint = _joint_state.__wrapped__(n_qubits, alpha, beta)
-    dim = 1 << n_qubits
-    block = joint.amplitudes[:dim]
+    block, shot_dist = _joint_state(n_qubits, alpha, beta)
     if np.max(np.abs(block.imag)) > 1e-10:
         raise RuntimeError("demo block should be real up to roundoff")
     ideal = block.real.copy()
     success = float(np.sum(ideal**2))
-    counts = sample_counts(joint, shots, seed)[:dim]
+    counts = sample_counts(shot_dist, shots, seed)[: block.size]
     sampled, lo, hi, inside = three_sigma_band(ideal**2, counts, shots)
     return DemoResult(
         n_qubits=n_qubits,

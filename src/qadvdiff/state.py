@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -534,18 +535,83 @@ def apply_circuit(state: QuantumState, circuit: Circuit) -> QuantumState:
     return out
 
 
-def sample_counts(state: QuantumState, shots: int, seed: int) -> np.ndarray:
+def _check_shots(shots) -> int:
+    """``shots`` as a positive int; a bool or a non-integer is rejected."""
+    try:
+        count = operator.index(shots)
+    except TypeError:
+        count = None
+    if count is None or isinstance(shots, bool):
+        raise TypeError(f"shots must be an integer, got {shots!r}")
+    if count < 1:
+        raise ValueError(f"shots must be positive, got {count}")
+    return count
+
+
+@dataclass(frozen=True, eq=False)
+class ShotDistribution:
+    """A state's normalized measurement probabilities, kept over their support.
+
+    ``support`` holds the indices of the nonzero probabilities, and also the
+    last index when its probability is 0; ``probs`` holds their values.  A
+    fully dense distribution has ``support = None`` and all ``size`` values.
+    Both arrays are read-only, so one distribution can serve many draws.
+    """
+
+    size: int
+    support: np.ndarray | None
+    probs: np.ndarray
+
+    @classmethod
+    def of(cls, state: QuantumState) -> "ShotDistribution":
+        probs = np.abs(state.amplitudes) ** 2
+        size = probs.size
+        total = probs.sum()
+        if not math.isfinite(total):
+            raise ValueError(f"cannot sample a state with a non-finite norm "
+                             f"(squared norm {total})")
+        if total == 0.0:
+            raise ValueError("cannot sample a state with zero norm")
+        probs /= total
+        support = None
+        if probs.min() == 0.0:
+            support = np.flatnonzero(probs)
+            if support[-1] != size - 1:
+                support = np.append(support, size - 1)
+            probs = probs[support]
+            support.flags.writeable = False
+        probs.flags.writeable = False
+        return cls(size, support, probs)
+
+    def draw(self, shots: int, seed: int) -> np.ndarray:
+        counts = np.random.default_rng(seed).multinomial(shots, self.probs)
+        if self.support is None:
+            return counts
+        full = np.zeros(self.size, dtype=counts.dtype)
+        full[self.support] = counts
+        return full
+
+
+def sample_counts(state: QuantumState | ShotDistribution, shots: int,
+                  seed: int) -> np.ndarray:
     """Multinomial measurement histogram over all basis indices.
 
     Deterministic per seed; returns an int array of length ``2**n_qubits``
-    summing to ``shots``.
+    summing to ``shots``.  ``state`` may also be its ``ShotDistribution``,
+    which a caller drawing many seeds from one state keeps.
+
+    The probabilities are normalized over the whole register, and when some
+    are 0 the multinomial is drawn over the support alone and scattered
+    back.  The counts are the same bit for bit: numpy draws the multinomial
+    as a chain of binomials, one per bin but the last, and a bin of
+    probability 0 takes no random draw and leaves the remaining mass
+    unchanged.  Only the last bin differs, as it takes what is left without
+    a draw, so the support keeps the register's last index.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    probs = np.abs(state.amplitudes) ** 2
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    shots = _check_shots(shots)
+    if not isinstance(state, ShotDistribution):
+        state = ShotDistribution.of(state)
+    return state.draw(shots, seed)
 
 
 def build_fourier_initial_state(n_qubits: int) -> Circuit:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="shots"):
             run_demo(3, shots=0, seed=1)
 
+    @pytest.mark.parametrize("shots", [2.5, 10.0, True, "100"])
+    def test_non_integer_shots_rejected(self, shots):
+        # 2.5 once drew 2 shots while the bands divided by 2.5
+        with pytest.raises(TypeError, match=f"shots must be an integer, got {shots!r}"):
+            run_demo(3, shots=shots, seed=1)
+
 
 class TestListing:
     def test_header_and_line_count(self):
@@ -192,14 +199,20 @@ class TestJointStateMemo:
         run_demo(3, shots=10, seed=0)
         assert _joint_state.cache_info().misses == 3
 
-    def test_registers_above_the_limit_are_not_kept(self, monkeypatch):
-        monkeypatch.setattr(demo, "_JOINT_MEMO_MAX_QUBITS", 8)
-        kept = run_demo(2, shots=500, seed=3)
-        unkept = [run_demo(3, shots=500, seed=3) for _ in range(2)]
-        assert _joint_state.cache_info().misses == 1
-        assert np.array_equal(unkept[0].sampled_amplitudes,
-                              unkept[1].sampled_amplitudes)
-        assert kept.circuit.n_qubits == 5
+    def test_memo_keeps_the_block_and_the_support_only(self):
+        # n = 5: a 2^20 joint register (16 MB) of which 96 bins are nonzero
+        tracemalloc.start()
+        try:
+            run_demo(5, shots=10, seed=0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        block, shots = _joint_state(5, DEMO_ALPHA, DEMO_BETA)
+        assert block.shape == (32,) and shots.size == 1 << 20
+        assert np.count_nonzero(shots.probs) == shots.support.size - 1 == 96
+        held = block.nbytes + shots.support.nbytes + shots.probs.nbytes
+        assert held == 16 * 32 + 16 * 97
+        assert retained < 64 * 1024
 
     def test_memoized_counts_match_a_fresh_simulation(self):
         warm = [run_demo(4, shots=3000, seed=s) for s in (5, 6, 5)]
@@ -230,4 +243,6 @@ class TestJointStateMemo:
         assert second.circuit is not first.circuit
         assert format_circuit_listing(second.circuit) == listing
         assert_allclose(second.ideal_amplitudes, physical_profile(3), atol=1e-14)
-        assert not _joint_state(3, DEMO_ALPHA, DEMO_BETA).amplitudes.flags.writeable
+        block, shots = _joint_state(3, DEMO_ALPHA, DEMO_BETA)
+        for kept in (block, shots.support, shots.probs):
+            assert not kept.flags.writeable

@@ -1,14 +1,15 @@
 """Property tests: transform round trips, QFT adjoint, error_norm invariances,
 runs that match the split oracle and read out their checkpoints exactly,
 runs that do not depend on what the stage memo already holds, the
-per-mode FD10 integrator against its real-space form, and config files that
-parse to the settings they spell out."""
+per-mode FD10 integrator against its real-space form, config files that
+parse to the settings they spell out, and shot counts drawn over the support
+that equal numpy's multinomial over the whole register."""
 
 from dataclasses import replace
 
 import numpy as np
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import fd10_direct, random_state_vector
@@ -21,7 +22,7 @@ from qadvdiff.splitting import (
     initial_scalar_field,
     run_scenario,
 )
-from qadvdiff.state import QuantumState, apply_circuit
+from qadvdiff.state import QuantumState, ShotDistribution, apply_circuit, sample_counts
 from qadvdiff.transforms import BoundaryKind, apply_qct, apply_qst, build_qft_circuit
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -260,3 +261,47 @@ def config_files(draw):
 def test_configs_round_trip_through_parse_config(case):
     text, expected = case
     assert parse_config(text) == expected
+
+
+SUPPORT_SHAPES = ("sparse, last bin zero", "sparse, last bin nonzero",
+                  "one bin", "one bin, the last", "dense")
+
+
+@st.composite
+def sampled_states(draw):
+    """(state, support shape): unnormalized states of every shape the shot
+    draw tells apart, with probabilities spread over many decades."""
+    n_qubits = draw(st.integers(1, 10))
+    size = 1 << n_qubits
+    rng = np.random.default_rng(draw(SEEDS))
+    scale = 10.0 ** rng.uniform(-6, 0, size)
+    amps = (rng.normal(size=size) + 1j * rng.normal(size=size)) * scale
+    shape = draw(st.sampled_from(SUPPORT_SHAPES))
+    keep = np.ones(size, dtype=bool)
+    if shape.startswith("sparse"):
+        keep = rng.random(size) < draw(st.floats(0.0, 1.0))
+        # one other bin is set against the last, so some bin is 0 and some is not
+        last = shape.endswith("nonzero")
+        keep[draw(st.integers(0, size - 2))] = not last
+        keep[-1] = last
+    elif shape.startswith("one bin"):
+        keep[:] = False
+        keep[size - 1 if shape.endswith("last") else draw(st.integers(0, size - 2))] = True
+    return QuantumState(n_qubits, np.where(keep, amps, 0.0)), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_states(), st.integers(1, 10**15), SEEDS)
+@example((QuantumState(2, np.sqrt([1.0, 1e-12, 0.0, 0.0]) + 0j), "sparse, last bin zero"),
+         10**15, 4)
+def test_support_draw_is_numpys_multinomial_bit_for_bit(case, shots, seed):
+    # the support-only draw rests on numpy's conditional-binomial multinomial
+    # taking no random draw for a bin of probability 0; this pins it
+    state, shape = case
+    probs = np.abs(state.amplitudes) ** 2
+    probs /= probs.sum()
+    expected = np.random.default_rng(seed).multinomial(shots, probs)
+    assert np.array_equal(sample_counts(state, shots, seed), expected)
+    kept = ShotDistribution.of(state)
+    assert (kept.support is None) == (shape == "dense")
+    assert np.array_equal(sample_counts(kept, shots, seed), expected)

@@ -1,5 +1,7 @@
 """Statevector core: gate application, postselection, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from qadvdiff.state import (
     GateKind,
     GateOp,
     QuantumState,
+    ShotDistribution,
     apply_circuit,
     build_fourier_initial_state,
     cnot,
@@ -278,6 +281,61 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             sample_counts(new_state(1), 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True, False, "10", None])
+    def test_non_integer_shots_rejected(self, shots):
+        # 2.5 once drew 2 shots without a word
+        with pytest.raises(TypeError, match=f"shots must be an integer, got {shots!r}"):
+            sample_counts(new_state(2), shots, seed=0)
+
+    def test_numpy_integer_shots_accepted(self):
+        state = encode_amplitudes(np.ones(4))
+        assert np.array_equal(sample_counts(state, np.int32(50), seed=3),
+                              sample_counts(state, 50, seed=3))
+
+    @pytest.mark.parametrize("amps", [np.zeros(4), np.full(4, 1e-170)])
+    def test_zero_norm_state_rejected(self, amps):
+        # once a divide RuntimeWarning, then numpy's complaint about NaN pvals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero norm"):
+                sample_counts(QuantumState(2, amps.astype(complex)), 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_state_rejected(self, bad):
+        amps = np.array([0.5, bad, 0.5, 0.5], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite norm"):
+                sample_counts(QuantumState(2, amps), 10, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_rejected(self):
+        amps = np.array([0.5, 1e200, 0.5, 0.5], dtype=complex)
+        with pytest.raises(ValueError, match=r"non-finite norm \(squared norm inf\)"):
+            sample_counts(QuantumState(2, amps), 10, seed=0)
+
+    def test_distribution_keeps_the_last_bin(self):
+        amps = np.zeros(8)
+        amps[[1, 4]] = 1.0
+        shots = ShotDistribution.of(encode_amplitudes(amps))
+        assert shots.size == 8
+        assert shots.support.tolist() == [1, 4, 7]
+        assert shots.probs.tolist() == [0.5, 0.5, 0.0]
+        assert not shots.support.flags.writeable and not shots.probs.flags.writeable
+
+    @pytest.mark.parametrize("seed", [4, 35, 47])
+    def test_last_support_bin_takes_its_binomial_draw(self, seed):
+        # bin 1 holds 1e-12 of the mass, and the mass numpy has left for it
+        # after bin 0 is off by about 1e-16, so its conditional probability
+        # is not 1; with these seeds one shot is left over for the last bin,
+        # of probability 0.  A draw over bins (0, 1) alone would give that
+        # shot to bin 1.
+        state = QuantumState(2, np.sqrt([1.0, 1e-12, 0.0, 0.0]).astype(complex))
+        probs = np.abs(state.amplitudes) ** 2
+        expected = np.random.default_rng(seed).multinomial(10**15, probs / probs.sum())
+        assert expected[3] == 1
+        assert np.array_equal(sample_counts(state, 10**15, seed), expected)
 
 
 class TestCircuitTools:
