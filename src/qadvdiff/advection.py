@@ -115,23 +115,15 @@ class PhaseTerm:
     y_controls: tuple[int, ...]
 
 
-def expand_profile_phases(profile: VelocityProfile, n_y: int) -> list[PhaseTerm]:
+@functools.lru_cache(maxsize=32)
+def _profile_phases(profile: VelocityProfile, n_y: int) -> tuple[PhaseTerm, ...]:
     """Expand u(y)/U over products of wall-normal qubits, exactly.
 
     Arithmetic runs in Fraction space over the integers 2**r and 2**n - 1, so
     coefficients are exact until the final float conversion.  Profiles beyond
     order 4 are rejected: the term count grows as n_y^h and the named profiles
-    all have h <= 2.
-    """
-    return list(_profile_phases(profile, n_y))
-
-
-@functools.lru_cache(maxsize=32)
-def _profile_phases(profile: VelocityProfile, n_y: int) -> tuple[PhaseTerm, ...]:
-    """The expansion as a tuple, memoized.
-
-    It depends on (profile, n_y) only, not on dt or U, so the last 32 are
-    kept and every run of a step sweep shares one.
+    all have h <= 2.  The expansion depends on (profile, n_y) only, so the
+    last 32 are kept.
     """
     h = profile.order
     if h > MAX_PROFILE_ORDER:

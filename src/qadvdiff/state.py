@@ -40,6 +40,14 @@ only over the qubits one factor tensor spans.
   the circuit emits what the frame still holds.  A frame that cancels
   completely emits nothing: the periodic damping ladder (CNOT fold, damping,
   fold undone) is one step.
+
+A diagonal step keeps its exponent table, taken through the frame, and
+makes its factor on its first call.  ``Circuit.bind(value)`` therefore
+rescales a compiled circuit without rebuilding it: each diagonal step
+becomes exp(value * scale * table) and every other step is shared.  A
+circuit whose angles are all linear in one parameter (advection in alpha,
+damping in beta) is built and compiled once at parameter 1 and bound per
+use; the unit circuit holds its tables and no factors.
 """
 
 from __future__ import annotations
@@ -196,6 +204,59 @@ class Circuit:
         if self._compiled is None:
             self._compiled = _compile(self)
         return self._compiled
+
+    def bind(self, value: float, name: str = "value") -> "BoundCircuit":
+        """This circuit with every phase angle and damping exponent times ``value``.
+
+        The compiled program is shared: only its diagonal steps are
+        rescaled, from the exponent tables they keep.  Damping gates scale
+        only on declared ancillas and only by ``value >= 0``; ``name`` names
+        the parameter in errors.
+        """
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0.0 and any(g.kind is GateKind.DAMPING for g in self.gates):
+            raise ValueError(f"{name} must be >= 0 to scale damping exponents, "
+                             f"got {value}")
+        steps = tuple(step.rescaled(value) if hasattr(step, "rescaled") else step
+                      for step in self._program())
+        return BoundCircuit(self, value, steps)
+
+
+_SCALED_KINDS = (*_PHASE_KINDS, GateKind.DAMPING)
+
+
+class BoundCircuit:
+    """A compiled circuit bound to a parameter value (see ``Circuit.bind``).
+
+    It runs ``steps``, the source program with each diagonal step rescaled
+    by ``value``, and shares everything else with ``source``.  ``gates`` are
+    the source's gates with their phase angles and damping exponents times
+    ``value``, made on first access.
+    """
+
+    def __init__(self, source: Circuit, value: float, steps: tuple):
+        self.source, self.value, self.steps = source, value, steps
+        self._gates = None
+
+    @property
+    def n_qubits(self) -> int:
+        return self.source.n_qubits
+
+    @property
+    def ancilla_indices(self) -> frozenset[int]:
+        return self.source.ancilla_indices
+
+    @property
+    def gates(self) -> list[GateOp]:
+        if self._gates is None:
+            self._gates = [
+                GateOp(g.kind, g.target, g.controls, g.param * self.value, g.partner)
+                if g.kind in _SCALED_KINDS else g for g in self.source.gates]
+        return self._gates
+
+    def _program(self) -> tuple:
+        return self.steps
 
 
 @dataclass
@@ -363,12 +424,28 @@ def _diagonal_step(n_qubits: int, terms, scale: complex, frame):
     if frame:
         table = table.ravel()[_frame_map(bit, frame)]
     shape = [2 if n_qubits - 1 - axis in bit else 1 for axis in range(n_qubits)]
-    where, factor = _pins(n_qubits, common), np.exp(scale * table).reshape(shape)
+    return _factor_step(_pins(n_qubits, common), table.reshape(shape), scale)
 
+
+def _factor_step(where, table: np.ndarray, scale: complex, factor=None):
+    """A step multiplying the register view ``where`` by exp(scale * table).
+
+    It makes the factor on its first call unless given one, so a circuit
+    compiled only to be rescaled holds its tables and no factors.
+    ``step.rescaled(value)`` is the step for exp(value * scale * table) with
+    its factor made at once; it shares the table.
+    """
     def step(psi, state):
+        nonlocal factor
+        if factor is None:
+            factor = np.exp(scale * table)
         view = psi[where]
         view *= factor
 
+    def rescaled(value: float):
+        return _factor_step(where, table, scale * value, np.exp((scale * value) * table))
+
+    step.rescaled = rescaled
     return step
 
 
@@ -389,6 +466,12 @@ def _matrix_step(n_qubits: int, gate: GateOp):
         a1 += u10 * a0
         a0[...] = new0
 
+    if gate.kind is GateKind.DAMPING:
+        def rescaled(value):
+            raise ValueError(f"cannot rescale {gate}: only damping on a declared "
+                             f"ancilla is a diagonal step")
+
+        step.rescaled = rescaled
     return step
 
 
@@ -431,18 +514,15 @@ def _defer(frame: list, gate: GateOp) -> None:
         frame.append(gate)
 
 
-def _projected_damping_step(n_qubits: int, gates, frame):
+def _projected_damping_step(ancilla: int, scale):
     """A run of damping gates on one unstored ancilla, each followed by its projection.
 
     The ancilla is a fresh |0>, so a damping gate and its projection scale the
     main register by e^-gamma where the gate's controls hold.  The run is one
-    real factor tensor, taken through the pending ``frame``, and one
+    real factor step ``scale``, taken through the pending frame, and one
     renormalization; the probability of the whole run is the product of the
-    per-gate ones.
+    per-gate ones.  ``step.rescaled`` rescales the factor step.
     """
-    ancilla = gates[0].target
-    scale = _diagonal_step(n_qubits, [(g.controls, g.param) for g in gates], -1.0, frame)
-
     def step(psi, state):
         scale(psi, state)
         p_zero = float(np.vdot(psi, psi).real)
@@ -454,6 +534,7 @@ def _projected_damping_step(n_qubits: int, gates, frame):
         psi /= np.sqrt(p_zero)
         state.success_prob *= min(p_zero, 1.0)
 
+    step.rescaled = lambda value: _projected_damping_step(ancilla, scale.rescaled(value))
     return step
 
 
@@ -506,13 +587,14 @@ def _compile(circuit: "Circuit") -> list:
             frame = []
             steps.extend(_matrix_step(n, gate) for gate in run)
         else:
-            steps.append(_projected_damping_step(n, run, frame))
+            terms = [(g.controls, g.param) for g in run]
+            steps.append(_projected_damping_step(key, _diagonal_step(n, terms, -1.0, frame)))
     steps.extend(_exchange(n, gate) for gate in frame)
     return steps
 
 
-def apply_circuit(state: QuantumState, circuit: Circuit) -> QuantumState:
-    """Run a circuit through its compiled program.
+def apply_circuit(state: QuantumState, circuit: Circuit | BoundCircuit) -> QuantumState:
+    """Run a circuit, or a bound one, through its compiled program.
 
     The state holds only the main qubits: each declared ancilla, never
     stored, is projected onto |0> after each damping gate on it.  A circuit

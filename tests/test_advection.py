@@ -8,11 +8,11 @@ from conftest import circuit_operator
 from qadvdiff.advection import (
     PhaseTerm,
     VelocityProfile,
+    _profile_phases,
     build_shear_advection,
     build_uniform_advection,
     count_controlled_gates,
     count_two_qubit_gates,
-    expand_profile_phases,
 )
 from qadvdiff.state import Circuit, cnot, hadamard, phase, swap
 
@@ -70,21 +70,21 @@ class TestVelocityProfile:
 
 class TestPhaseExpansion:
     def test_uniform_is_a_single_bare_term(self):
-        terms = expand_profile_phases(VelocityProfile.uniform(), 3)
-        assert terms == [PhaseTerm(1.0, ())]
+        terms = _profile_phases(VelocityProfile.uniform(), 3)
+        assert terms == (PhaseTerm(1.0, ()),)
 
     def test_couette_term_per_qubit(self):
         n_y = 3
-        terms = expand_profile_phases(VelocityProfile.couette(), n_y)
+        terms = _profile_phases(VelocityProfile.couette(), n_y)
         denom = (1 << n_y) - 1
-        assert terms == [PhaseTerm((1 << r) / denom, (r,)) for r in range(n_y)]
+        assert terms == tuple(PhaseTerm((1 << r) / denom, (r,)) for r in range(n_y))
 
     @pytest.mark.parametrize("label", ["couette", "poiseuille", "blasius"])
     @pytest.mark.parametrize("n_y", [1, 2, 3])
     def test_expansion_reproduces_profile_on_grid(self, label, n_y):
         # summing terms whose control bits are set in q recovers u(y_q)
         profile = VelocityProfile.named(label)
-        terms = expand_profile_phases(profile, n_y)
+        terms = _profile_phases(profile, n_y)
         n_points = 1 << n_y
         y = np.arange(n_points) / (n_points - 1)
         rebuilt = np.zeros(n_points)
@@ -96,7 +96,7 @@ class TestPhaseExpansion:
 
     def test_quartic_profile_expands(self):
         profile = VelocityProfile.custom([0.0, 0.0, 0.0, 0.0, 1.0])
-        terms = expand_profile_phases(profile, 2)
+        terms = _profile_phases(profile, 2)
         y = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
         rebuilt = np.zeros(4)
         for q in range(4):
@@ -108,11 +108,11 @@ class TestPhaseExpansion:
     def test_order_cap(self):
         profile = VelocityProfile.custom([0.0] * 5 + [1.0])
         with pytest.raises(ValueError, match="order"):
-            expand_profile_phases(profile, 2)
+            _profile_phases(profile, 2)
 
     def test_shear_without_wall_register_rejected(self):
         with pytest.raises(ValueError, match="wall-normal"):
-            expand_profile_phases(VelocityProfile.couette(), 0)
+            _profile_phases(VelocityProfile.couette(), 0)
 
 
 class TestUniformAdvection:

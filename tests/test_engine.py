@@ -267,6 +267,40 @@ def test_random_circuits_match_the_reference(circuit, seed):
     assert_matches_reference(circuit, seed)
 
 
+@settings(max_examples=100, deadline=None)
+@given(engine_circuits().filter(lambda c: all(math.isfinite(g.param) for g in c.gates)),
+       st.floats(0.0, 4.0), st.integers(0, 2**32 - 1))
+def test_bound_circuits_match_the_reference(circuit, value, seed):
+    # the rescaled program against dense execution of the scaled gates
+    assert_matches_reference(circuit.bind(value), seed)
+
+
+class TestBind:
+    def test_bound_gates_scale_phases_and_damping_only(self):
+        circuit = Circuit(3, [hadamard(0), phase(1, 0.5, ((0, 1),)), cnot(0, 1),
+                              damping(2, 0.25, ((1, 1),))], frozenset({2}))
+        bound = circuit.bind(3.0)
+        assert [g.param for g in bound.gates] == [0.0, 1.5, 0.0, 0.75]
+        assert bound.n_qubits == 3 and bound.ancilla_indices == frozenset({2})
+        # parameter-free steps are shared with the source program
+        assert bound.steps[0] is circuit._program()[0]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_value_is_named(self, value):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            build_shear_advection(2, 1, 1.0, VelocityProfile.named("couette")).bind(
+                value, "alpha")
+
+    def test_damping_rejects_a_negative_value(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            build_periodic_diffusion(2, 1.0).bind(-0.5, "beta")
+        assert build_uniform_advection(2, 1.0).bind(-0.5).value == -0.5
+
+    def test_damping_on_a_stored_qubit_cannot_be_rescaled(self):
+        with pytest.raises(ValueError, match="cannot rescale"):
+            undeclared(build_periodic_diffusion(2, 1.0)).bind(2.0)
+
+
 class TestDeferredFrame:
     def test_damping_under_a_frame_still_names_its_ancilla(self):
         # cnot(1, 0) sends |10> to |11>, where the damping empties the

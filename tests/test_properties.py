@@ -1,6 +1,7 @@
 """Property tests: transform round trips, QFT adjoint, error_norm invariances,
 runs that match the split oracle and read out their checkpoints exactly,
-runs that do not depend on what the stage memo already holds, the
+runs that do not depend on what the stage memos already hold, stages bound
+to alpha or beta that equal stages built at that value, the
 per-mode FD10 integrator against its real-space form, config files that
 parse to the settings they spell out, and shot counts drawn over the support
 that equal numpy's multinomial over the whole register."""
@@ -13,11 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import fd10_direct, random_state_vector
-from qadvdiff.advection import VelocityProfile
+from qadvdiff.advection import VelocityProfile, build_shear_advection
 from qadvdiff.config import RunSettings, parse_config
+from qadvdiff.diffusion import build_halfspectrum_diffusion, build_periodic_diffusion
 from qadvdiff.oracles import error_norm, fd10_reference, split_propagation_oracle
 from qadvdiff.splitting import (
     ScenarioConfig,
+    _advection_stage,
+    _build_stage,
     _shared_stage,
     initial_scalar_field,
     run_scenario,
@@ -112,13 +116,79 @@ def small_scenarios(draw):
 @given(small_scenarios(), small_scenarios())
 def test_runs_do_not_depend_on_the_stage_memo(config_a, config_b):
     _shared_stage.cache_clear()
+    _advection_stage.cache_clear()
     run_scenario(config_a, initial_scalar_field(config_a))
     after_a = run_scenario(config_b, initial_scalar_field(config_b))
     _shared_stage.cache_clear()
+    _advection_stage.cache_clear()
     fresh = run_scenario(config_b, initial_scalar_field(config_b))
     assert np.array_equal(after_a.final_state.amplitudes, fresh.final_state.amplitudes)
     assert after_a.success_prob_history == fresh.success_prob_history
     assert after_a.gate_counts == fresh.gate_counts
+
+
+@st.composite
+def bound_stage_cases(draw):
+    """(shared unit stage, value, stage built at that value, tolerance scale).
+
+    Grids have n_y = 0..4 and profiles order 0..4 (order 0 only without a
+    wall register); damping covers the x axis and every bc_y.  alpha is 0,
+    negative or large; beta is 0, tiny or 1e300.
+    """
+    n_x, n_y = draw(st.integers(2, 4)), draw(st.integers(0, 4))
+    n_main = n_x + n_y
+    alpha = draw(st.just(0.0) | st.floats(-20.0, -1e-3) | st.floats(1e2, 1e3))
+    beta = draw(st.just(0.0) | st.floats(1e-300, 1e-250) | st.just(1e300)
+                | st.floats(1e-3, 3.0))
+    stages = ["advection", "x"] + (["neumann", "dirichlet"] if n_y else []) + (
+        ["periodic"] if n_y >= 2 else [])
+    stage = draw(st.sampled_from(stages))
+    if stage == "advection":
+        order = draw(st.integers(0, 4 if n_y else 0))
+        coefficients = draw(st.lists(st.floats(-4.0, 4.0), min_size=order + 1,
+                                     max_size=order + 1))
+        args = (n_x, n_y, 1.0, VelocityProfile.custom(coefficients))
+        unit = _advection_stage("advection", build_shear_advection, 0, n_main, *args)
+        built = _build_stage("advection", build_shear_advection, 0, n_main,
+                             n_x, n_y, alpha, args[3])
+        # a phase P computed in another order agrees to about P * 1e-16
+        return unit, alpha, built, abs(alpha) * sum(abs(g.param) for g in unit.circuit.gates)
+    if stage == "x":
+        key, build = (build_periodic_diffusion, 0, n_main, n_x), ()
+    elif stage == "periodic":
+        key, build = (build_periodic_diffusion, n_x, n_main, n_y), ()
+    else:
+        key, build = (build_halfspectrum_diffusion, n_x, n_main, n_y), (BoundaryKind(stage),)
+    unit = _shared_stage("diffusion", *key, 1.0, *build)
+    return unit, beta, _build_stage("diffusion", *key, beta, *build), 1.0
+
+
+def outcome(circuit, vec):
+    """(amplitudes, success probability), or the postselection error raised."""
+    try:
+        out = apply_circuit(QuantumState(vec.size.bit_length() - 1, vec.copy()), circuit)
+    except ValueError as exc:
+        return str(exc).split(":")[0]
+    return out.amplitudes, out.success_prob
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_stage_cases(), SEEDS)
+def test_a_bound_stage_equals_one_built_at_its_value(case, seed):
+    unit, value, built, phase_scale = case
+    bound = unit.bind(value, "value")
+    assert (bound.controlled, bound.two_qubit) == (built.controlled, built.two_qubit)
+    assert bound.circuit.gates == built.circuit.gates
+    assert bound.circuit.n_qubits == built.circuit.n_qubits
+    n_main = bound.circuit.n_qubits - len(bound.circuit.ancilla_indices)
+    vec = random_state_vector(n_main, seed)
+    got, want = outcome(bound.circuit, vec), outcome(built.circuit, vec)
+    if isinstance(want, str):
+        assert got == want == "postselection impossible"
+        return
+    tol = 1e-13 * max(1.0, phase_scale)
+    assert_allclose(got[0], want[0], rtol=0, atol=tol)
+    assert_allclose(got[1], want[1], rtol=1e-13, atol=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Splitting driver: scenario configs, step pipeline, oracle equivalence."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +10,11 @@ from numpy.testing import assert_allclose
 
 from qadvdiff.advection import (
     VelocityProfile,
+    build_shear_advection,
     count_controlled_gates,
     count_two_qubit_gates,
 )
+from qadvdiff.diffusion import build_halfspectrum_diffusion, build_periodic_diffusion
 from qadvdiff import splitting
 from qadvdiff.oracles import (
     diagonal_propagator_oracle,
@@ -21,6 +25,7 @@ from qadvdiff.splitting import (
     _STAGE_MEMO_SIZE,
     RunResult,
     ScenarioConfig,
+    _advection_stage,
     _shared_stage,
     _Stepper,
     commutator_error_estimate,
@@ -29,7 +34,7 @@ from qadvdiff.splitting import (
     x_coordinates,
     y_coordinates,
 )
-from qadvdiff.state import QuantumState
+from qadvdiff.state import BoundCircuit, QuantumState, apply_circuit
 from qadvdiff.transforms import BoundaryKind, build_qft_circuit, wavenumbers
 
 
@@ -308,8 +313,10 @@ class TestRunScenario:
                              diffusivity=0.01, t_final=0.5, n_steps=2)
         result = run_scenario(config, initial_scalar_field(config))
         times = result.stage_times_s
-        assert set(times) == {"qft", "advection", "diffusion", "wall", "readout"}
+        assert set(times) == {"qft", "advection", "diffusion", "wall", "readout",
+                              "setup"}
         assert all(value >= 0.0 for value in times.values())
+        assert times["setup"] > 0.0
         assert sum(times.values()) <= result.wall_time_s
 
     @pytest.mark.parametrize("splitting, merge, built", [
@@ -328,8 +335,16 @@ class TestRunScenario:
 @pytest.fixture
 def fresh_stage_memo():
     _shared_stage.cache_clear()
+    _advection_stage.cache_clear()
     yield
     _shared_stage.cache_clear()
+    _advection_stage.cache_clear()
+
+
+def bound_source(stage):
+    """The compiled unit-parameter circuit a bound stage was made from."""
+    assert isinstance(stage.circuit, BoundCircuit)
+    return stage.circuit.source
 
 
 @pytest.mark.usefixtures("fresh_stage_memo")
@@ -363,30 +378,104 @@ class TestStageMemo:
         misses = _shared_stage.cache_info().misses
         strang = _Stepper(make_config(**self.SHEAR, splitting="strang"), 0.25)
         assert _shared_stage.cache_info().misses == misses
-        for name in ("qft_fwd", "qft_bwd", "diff_x", "diff_y"):
+        for name in ("qft_fwd", "qft_bwd"):
             assert getattr(strang, name) is getattr(trotter, name)
-
-    def test_advection_stages_are_never_kept(self):
-        config = make_config(**self.SHEAR, splitting="strang", merge_strang=True)
-        first, second = _Stepper(config, 0.25), _Stepper(config, 0.25)
-        assert first.qft_fwd is second.qft_fwd
-        for name in ("adv_full", "adv_half"):
-            assert getattr(first, name) is not getattr(second, name)
-            assert getattr(first, name).circuit.gates == getattr(second, name).circuit.gates
-
-    def test_a_new_dt_shares_only_the_qft_stages(self):
-        config = make_config(**self.SHEAR, bc_y=BoundaryKind.PERIODIC)
-        coarse, fine = _Stepper(config, 0.25), _Stepper(config, 0.125)
-        for name in ("qft_fwd", "qft_bwd", "y_fwd", "y_bwd"):
-            assert getattr(fine, name) is getattr(coarse, name)
         for name in ("diff_x", "diff_y"):
-            assert getattr(fine, name) is not getattr(coarse, name)
+            assert bound_source(getattr(strang, name)) is bound_source(getattr(trotter, name))
+
+    def test_runs_share_one_advection_table(self):
+        config = make_config(**self.SHEAR, splitting="strang", merge_strang=True)
+        first, second = _Stepper(config, 0.25), _Stepper(config, 0.125)
+        assert _advection_stage.cache_info().misses == 1
+        assert first.qft_fwd is second.qft_fwd
+        stages = [first.adv_full, first.adv_half, second.adv_full, second.adv_half]
+        assert len({id(bound_source(stage)) for stage in stages}) == 1
+        alpha = 2.0 * np.pi * 0.25
+        assert [stage.circuit.value for stage in stages] == [
+            alpha, 0.5 * alpha, 0.5 * alpha, 0.25 * alpha]
+        # each binds its own factor: equal values equal factors, others not
+        outs = [apply_circuit(QuantumState(6, np.full(64, 0.125, dtype=complex)),
+                              stage.circuit).amplitudes for stage in stages]
+        assert np.array_equal(outs[1], outs[2])
+        assert not np.allclose(outs[0], outs[1])
+        assert not np.allclose(outs[2], outs[3])
+
+    def test_a_new_dt_or_velocity_shares_every_stage(self):
+        config = make_config(**self.SHEAR, bc_y=BoundaryKind.PERIODIC)
+        coarse = _Stepper(config, 0.25)
+        misses = (_shared_stage.cache_info().misses, _advection_stage.cache_info().misses)
+        fine = _Stepper(config, 0.125)
+        faster = _Stepper(replace(config, velocity_scale=2.0), 0.25)
+        assert (_shared_stage.cache_info().misses,
+                _advection_stage.cache_info().misses) == misses
+        for other in (fine, faster):
+            for name in ("qft_fwd", "qft_bwd", "y_fwd", "y_bwd"):
+                assert getattr(other, name) is getattr(coarse, name)
+            for name in ("adv_full", "diff_x", "diff_y"):
+                assert bound_source(getattr(other, name)) is bound_source(
+                    getattr(coarse, name))
+        assert fine.adv_full.circuit.value == 0.5 * coarse.adv_full.circuit.value
+        assert faster.adv_full.circuit.value == 2.0 * coarse.adv_full.circuit.value
+        assert fine.diff_x.circuit.value == 0.5 * coarse.diff_x.circuit.value
+        assert faster.diff_x.circuit.value == coarse.diff_x.circuit.value
 
     def test_memo_stays_bounded(self):
-        config = make_config(**self.SHEAR)
-        for n_steps in range(1, 12):
-            _Stepper(config, config.t_final / n_steps)
-        assert _shared_stage.cache_info().currsize == _STAGE_MEMO_SIZE
+        # A new grid or profile replaces the kept advection stage, whose table
+        # spans the whole main register; the one-axis stages stay in the LRU.
+        kept = []
+        for n_x, n_y, profile in [(4, 2, "poiseuille"), (4, 2, "couette"),
+                                  (3, 3, "couette"), (2, 4, "blasius")]:
+            config = make_config(**dict(self.SHEAR, n_x=n_x, n_y=n_y,
+                                        profile=VelocityProfile.named(profile)))
+            for n_steps in range(1, 4):
+                stepper = _Stepper(config, config.t_final / n_steps)
+            kept.append(weakref.ref(bound_source(stepper.adv_full)))
+            del stepper
+            gc.collect()
+            assert _advection_stage.cache_info().currsize == 1
+            assert [ref() is not None for ref in kept] == [False] * (len(kept) - 1) + [True]
+        assert _shared_stage.cache_info().currsize <= _STAGE_MEMO_SIZE
+
+    @pytest.mark.parametrize("bc_y", list(BoundaryKind))
+    def test_applied_stages_carry_the_built_gates(self, monkeypatch, bc_y):
+        # The bound stage handed to apply_circuit lists the gates a fresh
+        # build at the run's alpha and beta lists: same kinds, count, qubits.
+        applied = []
+        apply = splitting.apply_circuit
+
+        def recording(state, circuit):
+            applied.append(circuit)
+            return apply(state, circuit)
+
+        monkeypatch.setattr(splitting, "apply_circuit", recording)
+        config = make_config(**self.SHEAR, bc_y=bc_y, splitting="strang")
+        run_scenario(config, initial_scalar_field(config))
+        alpha = 2.0 * np.pi * config.dt
+        beta_x = config.diffusivity * config.dt * (2.0 * np.pi) ** 2
+        beta_y = config.diffusivity * config.dt * (
+            (2.0 if bc_y is BoundaryKind.PERIODIC else 1.0) * np.pi) ** 2
+        y_damping = (build_periodic_diffusion(2, beta_y) if bc_y is BoundaryKind.PERIODIC
+                     else build_halfspectrum_diffusion(2, beta_y, bc_y))
+        built = {"advection": build_shear_advection(4, 2, 0.5 * alpha, config.profile),
+                 "diff_x": build_periodic_diffusion(4, beta_x), "diff_y": y_damping}
+        bound = [circuit for circuit in applied if isinstance(circuit, BoundCircuit)]
+        # per step: leading and trailing half advection, x and y damping
+        assert len(bound) == 4 * config.n_steps
+        for circuit, name in zip(bound, ["advection", "diff_x", "diff_y", "advection"] * 2):
+            assert circuit.n_qubits == 6 + len(built[name].ancilla_indices)
+            assert [g.kind for g in circuit.gates] == [g.kind for g in built[name].gates]
+            assert_allclose([g.param for g in circuit.gates],
+                            [g.param for g in built[name].gates], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("overrides, name", [
+        (dict(velocity_scale=1e300, t_final=1e10), "alpha"),
+        (dict(diffusivity=1e300, t_final=1e10), "beta"),
+    ])
+    def test_a_non_finite_parameter_is_named(self, overrides, name):
+        # An inf alpha or beta times a table's 0 entry would be NaN.
+        config = make_config(**dict(self.SHEAR, n_steps=1, **overrides))
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            run_scenario(config, initial_scalar_field(config))
 
 
 class TestMergedStrang:
