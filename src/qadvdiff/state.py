@@ -41,13 +41,24 @@ only over the qubits one factor tensor spans.
   completely emits nothing: the periodic damping ladder (CNOT fold, damping,
   fold undone) is one step.
 
+A narrow circuit with a Hadamard is fused instead: when a circuit declares
+no ancillas, holds a Hadamard, and touches only a window of w contiguous
+qubits with 2w <= n, it compiles to one dense step.  Its 2^w x 2^w matrix is
+made once, by running the circuit's own program (compiled as above) on the
+identity laid out as a 2w-qubit state, so gate semantics keep one
+implementation; the step multiplies the window axis of the register, viewed
+as (2^(n-lo-w), 2^w, 2^lo), by it.  The x QFT stages of a square grid and
+its periodic y QFT stages fuse; a standalone QFT, which spans its whole
+register, and the demo's joint circuit do not.
+
 A diagonal step keeps its exponent table, taken through the frame, and
 makes its factor on its first call.  ``Circuit.bind(value)`` therefore
 rescales a compiled circuit without rebuilding it: each diagonal step
 becomes exp(value * scale * table) and every other step is shared.  A
 circuit whose angles are all linear in one parameter (advection in alpha,
 damping in beta) is built and compiled once at parameter 1 and bound per
-use; the unit circuit holds its tables and no factors.
+use; the unit circuit holds its tables and no factors.  A dense step
+rebuilds its matrix from its gates bound to the value.
 """
 
 from __future__ import annotations
@@ -65,6 +76,7 @@ DEFAULT_MAX_QUBITS = 26
 _MAX_QUBITS_ENV = "QADVDIFF_MAX_QUBITS"
 
 _MIN_POSTSELECT_PROB = 1e-300
+_SLAB_ROWS, _SLAB_DIM = 8, 64
 
 
 def max_qubits() -> int:
@@ -538,10 +550,78 @@ def _projected_damping_step(ancilla: int, scale):
     return step
 
 
-def _compile(circuit: "Circuit") -> list:
+def _dense_step(n_qubits: int, lo: int, block: "Circuit", value: float | None = None):
+    """One step multiplying a window of 2^w basis states by a dense matrix.
+
+    ``block`` holds the window's gates moved onto the top w qubits of a
+    2w-qubit register.  Run on the identity laid out as that register (entry
+    [r, c] at index r*2^w + c), its own program leaves the window's matrix U,
+    or that of ``block.bind(value)``.  The step views the register as
+    (2^(n-lo-w), 2^w, 2^lo) and multiplies the middle axis by U.
+    ``step.rescaled(value)`` rebuilds U from ``block.bind(value)``.
+    """
+    w = block.n_qubits // 2
+    dim, high, low = 1 << w, 1 << (n_qubits - lo - w), 1 << lo
+    eye = QuantumState(2 * w, np.eye(dim, dtype=np.complex128).ravel())
+    bound = block if value is None else block.bind(value)
+    matrix = apply_circuit(eye, bound).amplitudes.reshape(dim, dim)
+    # A matrix at most _SLAB_DIM wide multiplies in slabs of _SLAB_ROWS rows,
+    # one batched matmul: numpy runs one GEMM per slab, small enough that
+    # BLAS keeps it on one thread, where one 64x64 GEMM is split over every
+    # BLAS thread and waits on the slowest.  A wider matrix is one GEMM, which
+    # threads well and reads the matrix once instead of once per slab.
+    wide = dim > _SLAB_DIM
+    if low == 1:
+        slab = high if wide else min(_SLAB_ROWS, high)
+
+        def product(psi):
+            return np.matmul(psi.reshape(-1, slab, dim), matrix.T)
+    else:
+        left = matrix.reshape(-1, dim if wide else min(_SLAB_ROWS, dim), dim)
+
+        def product(psi):
+            return np.matmul(left, psi.reshape(high, 1, dim, low))
+
+    # Heavily damped modes decay toward subnormal numbers, and every
+    # subnormal product costs a slow floating-point assist: they made the
+    # y QFTs of a 10x10 periodic run several times slower.  The step first
+    # sets to 0 each amplitude below tiny * 2^w, the ones whose product with
+    # an entry of size 2^-w can be subnormal (a QFT entry is 2^(-w/2)).
+    tiny = np.finfo(np.float64).tiny * dim
+
+    def step(psi, state):
+        parts = psi.reshape(-1).view(np.float64)
+        parts[np.abs(parts) < tiny] = 0.0
+        psi[...] = product(psi).reshape(psi.shape)
+
+    step.rescaled = lambda value: _dense_step(n_qubits, lo, block, value)
+    return step
+
+
+def _fused_step(circuit: "Circuit"):
+    """The circuit as one dense step, or None when it does not fuse.
+
+    It fuses when it declares no ancillas, holds a Hadamard, and its gates
+    lie in a window of w qubits with 2w <= n, so the block's matrix is no
+    larger than the n-qubit register.
+    """
+    if circuit.ancilla_indices or not any(g.kind is GateKind.HADAMARD
+                                          for g in circuit.gates):
+        return None
+    touched = set().union(*map(_gate_qubits, circuit.gates))
+    lo, w = min(touched), max(touched) + 1 - min(touched)
+    if 2 * w > circuit.n_qubits:
+        return None
+    block = remap_circuit(circuit, {q: w + q - lo for q in range(lo, lo + w)}, 2 * w)
+    block._compiled = _compile(block, fuse=False)
+    return _dense_step(circuit.n_qubits, lo, block)
+
+
+def _compile(circuit: "Circuit", fuse: bool = True) -> list:
     """Turn a circuit into steps that act in place on the register tensor.
 
-    CNOT and swap gates are held in a pending frame.  Each run of
+    A circuit that ``_fused_step`` fuses is one dense step.  Otherwise CNOT
+    and swap gates are held in a pending frame.  Each run of
     (controlled) phase gates becomes one phase-tensor step under the frame.
     The declared ancillas are left out of the register and each run of
     damping gates on one becomes one postselected step under the frame; an
@@ -563,6 +643,9 @@ def _compile(circuit: "Circuit") -> list:
         if touched & projected:
             raise ValueError(f"{gate} touches a projected ancilla other than "
                              f"as a damping target (declare no ancillas to store it)")
+    fused = _fused_step(circuit) if fuse else None
+    if fused is not None:
+        return [fused]
 
     def run_key(gate: GateOp):
         if gate.kind in _PHASE_KINDS:

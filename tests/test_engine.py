@@ -27,6 +27,7 @@ from qadvdiff.state import (
     damping,
     hadamard,
     phase,
+    remap_circuit,
     swap,
 )
 from qadvdiff.transforms import BoundaryKind, build_qft_circuit
@@ -113,6 +114,9 @@ def test_builder_matches_reference(name, seed):
     dict(bc_y=BoundaryKind.DIRICHLET),
     dict(bc_y=BoundaryKind.PERIODIC, profile=VelocityProfile.named("couette")),
     dict(n_y=0, profile=VelocityProfile.uniform()),
+    # 3x3 grids, where the x QFT and the periodic y QFT fuse into dense steps
+    dict(n_y=3),
+    dict(n_y=3, bc_y=BoundaryKind.PERIODIC),
 ])
 def test_stepper_stages_match_reference(overrides):
     for i, circuit in enumerate(stepper_stages(_scenario(**overrides))):
@@ -275,7 +279,52 @@ def test_bound_circuits_match_the_reference(circuit, value, seed):
     assert_matches_reference(circuit.bind(value), seed)
 
 
+@st.composite
+def narrow_window_circuits(draw):
+    """``unitary_circuits`` on a window of w qubits of a register of 2w to 8.
+
+    The window sits at the bottom, in the middle or at the top of the
+    register, so the dense step runs each of its register layouts; Hadamards
+    on its edge qubits open the circuit.
+    """
+    inner = draw(unitary_circuits().filter(lambda c: c.n_qubits <= 4))
+    width = inner.n_qubits
+    n_qubits = draw(st.integers(2 * width, 8))
+    lo = {"bottom": 0, "middle": (n_qubits - width) // 2, "top": n_qubits - width}[
+        draw(st.sampled_from(["bottom", "middle", "top"]))]
+    circuit = Circuit(width, [hadamard(0), hadamard(width - 1), *inner.gates])
+    return remap_circuit(circuit, {q: lo + q for q in range(width)}, n_qubits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(narrow_window_circuits(), st.floats(-4.0, 4.0), st.integers(0, 2**32 - 1))
+def test_narrow_window_circuits_match_the_reference(circuit, value, seed):
+    assert [step.__qualname__ for step in circuit._program()] == [
+        "_dense_step.<locals>.step"]
+    assert_matches_reference(circuit, seed)
+    assert_matches_reference(circuit.bind(value), seed)
+
+
+def test_qft_stages_fuse_and_diagonal_stages_do_not():
+    stepper = _Stepper(_scenario(n_x=6, n_y=6), 0.25)
+    for stage in (stepper.qft_fwd, stepper.qft_bwd):
+        assert [step.__qualname__ for step in stage.circuit._program()] == [
+            "_dense_step.<locals>.step"]
+    for stage in (stepper.adv_full, stepper.diff_x, stepper.diff_y):
+        assert "_dense_step.<locals>.step" not in [
+            step.__qualname__ for step in stage.circuit._program()]
+    # the demo's joint circuit spans its whole register
+    assert "_dense_step.<locals>.step" not in [
+        step.__qualname__ for step in undeclared(build_demo_circuit(5))._program()]
+
+
 class TestBind:
+    def test_a_bound_dense_step_rebuilds_its_matrix(self):
+        # the fused block's matrix must come from the scaled phase, not be
+        # shared unscaled with the source program
+        assert_matches_reference(
+            Circuit(4, [hadamard(0), phase(1, 0.5, ((0, 1),))]).bind(2.0), seed=0)
+
     def test_bound_gates_scale_phases_and_damping_only(self):
         circuit = Circuit(3, [hadamard(0), phase(1, 0.5, ((0, 1),)), cnot(0, 1),
                               damping(2, 0.25, ((1, 1),))], frozenset({2}))
