@@ -43,7 +43,7 @@ from .splitting import (
     y_coordinates,
 )
 from .state import sample_counts
-from .transforms import BoundaryKind, build_qft_circuit
+from .transforms import build_qft_circuit
 
 
 def _fmt(value) -> str:

@@ -8,7 +8,7 @@ number so a broken file points at itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .advection import VelocityProfile
@@ -21,23 +21,7 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = ("n_x", "profile", "t_final", "D")
-_KNOWN = _REQUIRED + (
-    "n_y",
-    "L",
-    "U",
-    "steps",
-    "splitting",
-    "bc_x",
-    "bc_y",
-    "checkpoints",
-    "initial",
-    "reference",
-    "merge_strang",
-)
 _REFERENCES = ("auto", "oracle", "analytic", "fd10", "none")
-_INT_KEYS = {"n_x", "n_y", "steps", "checkpoints"}
-_FLOAT_KEYS = {"L", "U", "D", "t_final"}
-_BOOL_KEYS = {"merge_strang"}
 
 
 @dataclass(frozen=True)
@@ -49,140 +33,136 @@ class RunSettings:
     reference: str = "auto"
 
 
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
-def _parse_scalar(key: str, raw: str, lineno: int):
-    if key in _INT_KEYS or key in _FLOAT_KEYS:
+# Each parser takes (key, raw value) and raises ValueError with a message
+# that the caller prefixes with the line number.
+def _number(cast, kind: str):
+    def parse(key: str, raw: str):
         try:
-            value = int(raw) if key in _INT_KEYS else float(raw)
+            value = cast(raw)
         except ValueError:
-            kind = "an integer" if key in _INT_KEYS else "a number"
-            raise ConfigError(
-                f"line {lineno}: {key} expects {kind}, got {raw!r}"
-            ) from None
+            raise ValueError(f"{key} expects {kind}, got {raw!r}") from None
         if not math.isfinite(value):
-            raise ConfigError(f"line {lineno}: {key} must be finite, got {raw!r}")
+            raise ValueError(f"{key} must be finite, got {raw!r}")
         return value
-    if key in _BOOL_KEYS:
-        lowered = raw.lower()
-        if lowered in ("true", "false"):
-            return lowered == "true"
-        raise ConfigError(f"line {lineno}: {key} expects true or false, got {raw!r}")
-    return raw
+    return parse
 
 
-def _parse_profile(raw: str, lineno: int) -> VelocityProfile:
+def _one_of(options, wording: str):
+    def parse(key: str, raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"{key} must be {wording}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _parse_bool(key: str, raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"{key} expects true or false, got {raw!r}")
+    return lowered == "true"
+
+
+def _parse_profile(key: str, raw: str) -> VelocityProfile:
+    if not raw.startswith("["):
+        return VelocityProfile.named(raw)
+    if not raw.endswith("]"):
+        raise ValueError("unterminated coefficient list")
+    body = raw[1:-1].strip()
+    if not body:
+        raise ValueError("empty coefficient list")
     try:
-        if not raw.startswith("["):
-            return VelocityProfile.named(raw)
-        if not raw.endswith("]"):
-            raise ValueError("unterminated coefficient list")
-        body = raw[1:-1].strip()
-        if not body:
-            raise ValueError("empty coefficient list")
-        try:
-            coeffs = tuple(float(tok) for tok in body.split(","))
-        except ValueError:
-            raise ValueError(f"coefficient list must be numbers, got {raw!r}") from None
-        return VelocityProfile.custom(coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from None
+        coeffs = tuple(float(tok) for tok in body.split(","))
+    except ValueError:
+        raise ValueError(f"coefficient list must be numbers, got {raw!r}") from None
+    return VelocityProfile.custom(coeffs)
 
 
-def _parse_boundary(key: str, raw: str, lineno: int) -> BoundaryKind:
+def _parse_boundary(key: str, raw: str) -> BoundaryKind:
     try:
         return BoundaryKind(raw)
     except ValueError:
         options = ", ".join(k.value for k in BoundaryKind)
-        raise ConfigError(
-            f"line {lineno}: {key} must be one of {options}, got {raw!r}"
-        ) from None
+        raise ValueError(f"{key} must be one of {options}, got {raw!r}") from None
+
+
+def _parse_initial(key: str, raw: str) -> str:
+    if not (raw in ("gaussian", "uniform") or raw.startswith("basis:")):
+        raise ValueError(
+            f"{key} must be gaussian, uniform, or basis:<index>, got {raw!r}"
+        )
+    return raw
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+
+# config key -> (ScenarioConfig or RunSettings field, parser); the defaults
+# live on those two dataclasses.  bc_x sets no field: it is always periodic.
+_KEYS = {
+    "n_x": ("n_x", _int),
+    "n_y": ("n_y", _int),
+    "profile": ("profile", _parse_profile),
+    "D": ("diffusivity", _float),
+    "t_final": ("t_final", _float),
+    "steps": ("n_steps", _int),
+    "L": ("length", _float),
+    "U": ("velocity_scale", _float),
+    "splitting": ("splitting", _one_of(("trotter", "strang"), "trotter or strang")),
+    "bc_x": (None, _one_of(
+        (BoundaryKind.PERIODIC.value,),
+        "periodic (advection acts in the streamwise Fourier basis)")),
+    "bc_y": ("bc_y", _parse_boundary),
+    "checkpoints": ("checkpoints", _int),
+    "merge_strang": ("merge_strang", _parse_bool),
+    "initial": ("initial", _parse_initial),
+    "reference": ("reference", _one_of(_REFERENCES, "one of " + ", ".join(_REFERENCES))),
+}
+_RUN_FIELDS = {f.name for f in fields(RunSettings)}
 
 
 def parse_config(text: str) -> RunSettings:
     """Parse config text into RunSettings; raises ConfigError with line info."""
-    values: dict[str, object] = {}
+    # n_y comes before fields without a default in ScenarioConfig, so its
+    # default, a 1D run, is set here
+    scenario: dict[str, object] = {"n_y": 0}
+    run: dict[str, object] = {}
     lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip(raw_line)
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KNOWN:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in lines:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
             )
         if not raw:
             raise ConfigError(f"line {lineno}: {key} has no value")
         lines[key] = lineno
-        if key == "profile":
-            values[key] = _parse_profile(raw, lineno)
-        elif key == "bc_x":
-            if raw != BoundaryKind.PERIODIC.value:
-                raise ConfigError(
-                    f"line {lineno}: bc_x must be periodic (advection acts in the "
-                    f"streamwise Fourier basis), got {raw!r}"
-                )
-            values[key] = raw
-        elif key == "bc_y":
-            values[key] = _parse_boundary(key, raw, lineno)
-        else:
-            values[key] = _parse_scalar(key, raw, lineno)
+        name, parse = _KEYS[key]
+        try:
+            value = parse(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        if name is not None:
+            (run if name in _RUN_FIELDS else scenario)[name] = value
     for key in _REQUIRED:
-        if key not in values:
+        if key not in lines:
             raise ConfigError(f"missing required key {key!r}")
-
-    splitting = values.get("splitting", "trotter")
-    if splitting not in ("trotter", "strang"):
-        raise ConfigError(
-            f"line {lines['splitting']}: splitting must be trotter or strang, "
-            f"got {splitting!r}"
-        )
-    initial = str(values.get("initial", "gaussian"))
-    if not (initial in ("gaussian", "uniform") or initial.startswith("basis:")):
-        raise ConfigError(
-            f"line {lines['initial']}: initial must be gaussian, uniform, or "
-            f"basis:<index>, got {initial!r}"
-        )
-    reference = str(values.get("reference", "auto"))
-    if reference not in _REFERENCES:
-        raise ConfigError(
-            f"line {lines['reference']}: reference must be one of "
-            f"{', '.join(_REFERENCES)}, got {reference!r}"
-        )
     try:
-        scenario = ScenarioConfig(
-            n_x=values["n_x"],
-            n_y=values.get("n_y", 0),
-            profile=values["profile"],
-            diffusivity=values["D"],
-            t_final=values["t_final"],
-            n_steps=values.get("steps", 1),
-            length=values.get("L", 1.0),
-            velocity_scale=values.get("U", 1.0),
-            splitting=splitting,
-            bc_y=values.get("bc_y", BoundaryKind.NEUMANN),
-            checkpoints=values.get("checkpoints", 10),
-            merge_strang=values.get("merge_strang", False),
-        )
+        settings = RunSettings(ScenarioConfig(**scenario), **run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if initial.startswith("basis:"):
+    if settings.initial.startswith("basis:"):
         try:
-            basis_index(scenario, initial)
+            basis_index(settings.scenario, settings.initial)
         except ValueError as exc:
             raise ConfigError(f"line {lines['initial']}: {exc}") from None
-    return RunSettings(scenario=scenario, initial=initial, reference=reference)
+    return settings
 
 
 def load_config(path) -> RunSettings:

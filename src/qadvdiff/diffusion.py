@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import (
-    Circuit,
-    QuantumState,
-    apply_circuit,
-    cnot,
-    damping,
-)
-from .transforms import BoundaryKind, build_qft_circuit
+from .state import Circuit, cnot, damping
+from .transforms import BoundaryKind
 
 
 @dataclass(frozen=True)
@@ -131,24 +125,3 @@ def build_halfspectrum_diffusion(
         raise ValueError("use build_periodic_diffusion for periodic axes")
     terms = halfspectrum_damping_terms(n_qubits, beta, kind)
     return _damping_circuit(n_qubits, terms, False)
-
-
-def prepare_gaussian_by_diffusion(n_qubits: int, diffusion_time: float) -> QuantumState:
-    """Diffuse the centered basis state into a near-Gaussian profile (L = 1).
-
-    Runs the full pipeline on a unit-length periodic axis: grid-to-mode
-    transform, periodic diffusion with beta = D*t*(2*pi)^2, mode-to-grid
-    transform.  The state holds the main register only (the ancilla is never
-    stored) and carries the postselection probability in ``success_prob``.
-    """
-    if n_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {n_qubits}")
-    if diffusion_time < 0.0:
-        raise ValueError(f"diffusion time must be >= 0, got {diffusion_time}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[amps.size // 2] = 1.0
-    beta = diffusion_time * (2.0 * np.pi) ** 2
-    state = apply_circuit(QuantumState(n_qubits, amps),
-                          build_qft_circuit(n_qubits, inverse=True))
-    state = apply_circuit(state, build_periodic_diffusion(n_qubits, beta))
-    return apply_circuit(state, build_qft_circuit(n_qubits))

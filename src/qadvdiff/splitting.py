@@ -55,7 +55,6 @@ from .diffusion import (
     build_halfspectrum_diffusion,
     build_periodic_diffusion,
 )
-from .oracles import profile_row_velocities
 from .state import (
     BoundCircuit,
     Circuit,
@@ -125,6 +124,11 @@ class ScenarioConfig:
             raise ValueError("a sheared profile needs a wall-normal register")
         if self.merge_strang and self.splitting != "strang":
             raise ValueError("merge_strang only applies to Strang splitting")
+        if self.merge_strang and self.n_steps > 1 and self.checkpoints > 1:
+            raise ValueError(
+                "merged Strang half-steps leave no exact intermediate states; "
+                "disable merge_strang or set checkpoints = 1"
+            )
 
     @property
     def dt(self) -> float:
@@ -421,11 +425,6 @@ def run_scenario(
     """
     t0 = time.perf_counter()
     steps = _checkpoint_steps(config)
-    if config.merge_strang and any(0 < s < config.n_steps for s in steps):
-        raise ValueError(
-            "merged Strang half-steps leave no exact intermediate states; "
-            "disable merge_strang or set checkpoints = 1"
-        )
     state = _coerce_initial(config, initial)
     checkpoints = [(0, state.amplitudes.copy())]
     success_history = []

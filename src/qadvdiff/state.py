@@ -316,27 +316,6 @@ def new_state(n_qubits: int) -> QuantumState:
     return QuantumState(n_qubits, amps)
 
 
-def encode_amplitudes(values) -> QuantumState:
-    """Load a real or complex vector as a normalized state.
-
-    The length must be a power of two and the vector must be finite and not
-    identically zero; normalization is applied here so callers can pass raw
-    field samples.
-    """
-    amps = np.asarray(values, dtype=np.complex128).ravel()
-    if not np.all(np.isfinite(amps)):
-        raise ValueError("amplitudes must be finite")
-    dim = amps.size
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
-    n_qubits = dim.bit_length() - 1
-    _check_register_size(n_qubits)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("cannot encode the zero vector")
-    return QuantumState(n_qubits, amps / norm)
-
-
 def damping_matrix(gamma: float) -> np.ndarray:
     """2x2 rotation R_Y(2*arccos(e^-gamma)); |0> -> e^-gamma|0> + sqrt(1-e^-2g)|1>."""
     if gamma < 0.0:
@@ -719,12 +698,12 @@ class ShotDistribution:
 
     ``support`` holds the indices of the nonzero probabilities, and also the
     last index when its probability is 0; ``probs`` holds their values.  A
-    fully dense distribution has ``support = None`` and all ``size`` values.
-    Both arrays are read-only, so one distribution can serve many draws.
+    state with no zero probability keeps every index.  Both arrays are
+    read-only, so one distribution can serve many draws.
     """
 
     size: int
-    support: np.ndarray | None
+    support: np.ndarray
     probs: np.ndarray
 
     @classmethod
@@ -738,20 +717,16 @@ class ShotDistribution:
         if total == 0.0:
             raise ValueError("cannot sample a state with zero norm")
         probs /= total
-        support = None
-        if probs.min() == 0.0:
-            support = np.flatnonzero(probs)
-            if support[-1] != size - 1:
-                support = np.append(support, size - 1)
-            probs = probs[support]
-            support.flags.writeable = False
+        support = np.flatnonzero(probs)
+        if support[-1] != size - 1:
+            support = np.append(support, size - 1)
+        probs = probs[support]
+        support.flags.writeable = False
         probs.flags.writeable = False
         return cls(size, support, probs)
 
     def draw(self, shots: int, seed: int) -> np.ndarray:
         counts = np.random.default_rng(seed).multinomial(shots, self.probs)
-        if self.support is None:
-            return counts
         full = np.zeros(self.size, dtype=counts.dtype)
         full[self.support] = counts
         return full
@@ -765,9 +740,9 @@ def sample_counts(state: QuantumState | ShotDistribution, shots: int,
     summing to ``shots``.  ``state`` may also be its ``ShotDistribution``,
     which a caller drawing many seeds from one state keeps.
 
-    The probabilities are normalized over the whole register, and when some
-    are 0 the multinomial is drawn over the support alone and scattered
-    back.  The counts are the same bit for bit: numpy draws the multinomial
+    The probabilities are normalized over the whole register, and the
+    multinomial is drawn over the support alone and scattered back.  The
+    counts are the same bit for bit: numpy draws the multinomial
     as a chain of binomials, one per bin but the last, and a bin of
     probability 0 takes no random draw and leaves the remaining mass
     unchanged.  Only the last bin differs, as it takes what is left without

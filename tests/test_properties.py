@@ -273,17 +273,21 @@ def config_files(draw):
     splitting = draw(st.sampled_from(["trotter", "strang"]))
     n_x = draw(st.integers(2, 6))
     size = (1 << n_x) * ((1 << n_y) if n_y else 1)
+    n_steps, checkpoints = draw(st.integers(1, 64)), draw(st.integers(1, 20))
+    # merged Strang leaves no intermediate state to check, so a config
+    # asking for one is refused
+    mergeable = splitting == "strang" and (n_steps == 1 or checkpoints == 1)
     scenario = ScenarioConfig(
         n_x=n_x, n_y=n_y, profile=profile,
         diffusivity=draw(st.floats(0.0, 1.0, **FINITE)),
         t_final=draw(st.floats(0.0, 10.0, **FINITE)),
-        n_steps=draw(st.integers(1, 64)),
+        n_steps=n_steps,
         length=draw(st.floats(0.0, 100.0, exclude_min=True, **FINITE)),
         velocity_scale=draw(st.floats(-10.0, 10.0, **FINITE)),
         splitting=splitting,
         bc_y=draw(st.sampled_from(list(BoundaryKind))),
-        checkpoints=draw(st.integers(1, 20)),
-        merge_strang=splitting == "strang" and draw(st.booleans()),
+        checkpoints=checkpoints,
+        merge_strang=mergeable and draw(st.booleans()),
     )
     initial = draw(st.sampled_from(["gaussian", "uniform"])
                    | st.integers(0, size - 1).map("basis:{}".format))
@@ -367,11 +371,10 @@ def sampled_states(draw):
 def test_support_draw_is_numpys_multinomial_bit_for_bit(case, shots, seed):
     # the support-only draw rests on numpy's conditional-binomial multinomial
     # taking no random draw for a bin of probability 0; this pins it
-    state, shape = case
+    state, _ = case
     probs = np.abs(state.amplitudes) ** 2
     probs /= probs.sum()
     expected = np.random.default_rng(seed).multinomial(shots, probs)
     assert np.array_equal(sample_counts(state, shots, seed), expected)
     kept = ShotDistribution.of(state)
-    assert (kept.support is None) == (shape == "dense")
     assert np.array_equal(sample_counts(kept, shots, seed), expected)

@@ -18,7 +18,6 @@ from qadvdiff.state import (
     cnot,
     damping,
     damping_matrix,
-    encode_amplitudes,
     hadamard,
     inverse_circuit,
     max_qubits,
@@ -141,7 +140,7 @@ class TestSingleGates:
                         gate_operator(gate, n_qubits) @ vec, atol=1e-14)
 
     def test_swap_exchanges_basis_states(self):
-        state = encode_amplitudes([0.0, 1.0, 0.0, 0.0])
+        state = QuantumState(2, np.array([0.0, 1.0, 0.0, 0.0]))
         out = apply_circuit(state, Circuit(2, [swap(0, 1)]))
         assert_allclose(out.amplitudes, [0.0, 0.0, 1.0, 0.0])
 
@@ -225,24 +224,7 @@ class TestPostselection:
 
 
 class TestEncoding:
-    def test_normalizes_input(self):
-        state = encode_amplitudes([3.0, 4.0, 0.0, 0.0])
-        assert_allclose(state.amplitudes, [0.6, 0.8, 0.0, 0.0])
-        assert state.n_qubits == 2
-
-    @pytest.mark.parametrize("size", [1, 3, 6])
-    def test_rejects_non_power_of_two(self, size):
-        with pytest.raises(ValueError, match="power of two"):
-            encode_amplitudes(np.ones(size))
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero vector"):
-            encode_amplitudes(np.zeros(4))
-
-    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf, 0.0, 0.0]])
-    def test_rejects_non_finite(self, values):
-        with pytest.raises(ValueError, match="finite"):
-            encode_amplitudes(values)
+    """The register-size limit and its environment override."""
 
     def test_register_limit_enforced(self, monkeypatch):
         monkeypatch.setenv("QADVDIFF_MAX_QUBITS", "3")
@@ -258,20 +240,21 @@ class TestEncoding:
 
 class TestSampling:
     def test_counts_sum_to_shots_and_repeat(self):
-        state = encode_amplitudes([1.0, 1.0, 1.0, 1.0])
+        state = QuantumState(2, np.full(4, 0.5))
         a = sample_counts(state, 1000, seed=5)
         b = sample_counts(state, 1000, seed=5)
         assert a.sum() == 1000
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        state = encode_amplitudes(np.ones(8))
+        state = QuantumState(3, np.ones(8) / np.sqrt(8.0))
         a = sample_counts(state, 10000, seed=1)
         b = sample_counts(state, 10000, seed=2)
         assert not np.array_equal(a, b)
 
     def test_frequencies_track_probabilities(self):
-        state = encode_amplitudes([1.0, 2.0, 3.0, 4.0])
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        state = QuantumState(2, values / np.linalg.norm(values))
         counts = sample_counts(state, 200000, seed=9)
         probs = np.abs(state.amplitudes) ** 2
         # 5 sigma of a binomial per bin
@@ -289,7 +272,7 @@ class TestSampling:
             sample_counts(new_state(2), shots, seed=0)
 
     def test_numpy_integer_shots_accepted(self):
-        state = encode_amplitudes(np.ones(4))
+        state = QuantumState(2, np.full(4, 0.5))
         assert np.array_equal(sample_counts(state, np.int32(50), seed=3),
                               sample_counts(state, 50, seed=3))
 
@@ -318,7 +301,7 @@ class TestSampling:
     def test_distribution_keeps_the_last_bin(self):
         amps = np.zeros(8)
         amps[[1, 4]] = 1.0
-        shots = ShotDistribution.of(encode_amplitudes(amps))
+        shots = ShotDistribution.of(QuantumState(3, amps / np.linalg.norm(amps)))
         assert shots.size == 8
         assert shots.support.tolist() == [1, 4, 7]
         assert shots.probs.tolist() == [0.5, 0.5, 0.0]

@@ -6,7 +6,7 @@ import scipy.fft
 from numpy.testing import assert_allclose
 
 from conftest import circuit_operator, random_state_vector
-from qadvdiff.state import QuantumState, apply_circuit, encode_amplitudes
+from qadvdiff.state import QuantumState, apply_circuit
 from qadvdiff.transforms import (
     BoundaryKind,
     WavenumberTable,
@@ -124,12 +124,12 @@ class TestHalfSpectrumTransforms:
         assert_allclose(out.amplitudes.reshape(4, 2), expected, atol=1e-13)
 
     def test_rejects_non_contiguous_axis(self):
-        state = encode_amplitudes(np.ones(8))
+        state = QuantumState(3, np.ones(8) / np.sqrt(8.0))
         with pytest.raises(ValueError, match="contiguous"):
             apply_qct(state, [0, 2])
 
     def test_rejects_axis_outside_register(self):
-        state = encode_amplitudes(np.ones(4))
+        state = QuantumState(2, np.full(4, 0.5))
         with pytest.raises(ValueError, match="outside"):
             apply_qst(state, [1, 2])
 
