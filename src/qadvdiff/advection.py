@@ -152,14 +152,15 @@ def _profile_phases(profile: VelocityProfile, n_y: int) -> tuple[PhaseTerm, ...]
                  if terms[key] != 0)
 
 
-def _streamwise_pattern(n_x: int, angle: float, controls) -> list[GateOp]:
-    # Signed-mode phase ramp: -angle*2^r on the low qubits, +angle*2^(n-1) on
-    # the top qubit, so mode j picks up -angle*j for j < N/2 and -angle*(j-N)
-    # above.
+def _streamwise_pattern(n_x: int, coefficient: float, alpha: float, controls) -> list[GateOp]:
+    # Signed-mode phase ramp with angle = coefficient*alpha: -angle*2^r on the
+    # low qubits, +angle*2^(n-1) on the top one, so mode j picks up -angle*j
+    # for j < N/2 and -angle*(j-N) above.  Each phase is (coefficient*2^r)*alpha,
+    # as Circuit.bind scales a stage built at alpha = 1, even when subnormal.
     gates = []
     for r in range(n_x - 1):
-        gates.append(phase(r, -angle * (1 << r), controls))
-    gates.append(phase(n_x - 1, angle * (1 << (n_x - 1)), controls))
+        gates.append(phase(r, -(coefficient * (1 << r)) * alpha, controls))
+    gates.append(phase(n_x - 1, (coefficient * (1 << (n_x - 1))) * alpha, controls))
     return gates
 
 
@@ -170,7 +171,7 @@ def build_uniform_advection(n_qubits: int, alpha: float) -> Circuit:
     """
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    return Circuit(n_qubits, _streamwise_pattern(n_qubits, alpha, ()))
+    return Circuit(n_qubits, _streamwise_pattern(n_qubits, 1.0, alpha, ()))
 
 
 def build_shear_advection(
@@ -192,7 +193,7 @@ def build_shear_advection(
         if term.coefficient == 0.0:
             continue
         controls = tuple((n_x + q, 1) for q in term.y_controls)
-        circuit.extend(_streamwise_pattern(n_x, term.coefficient * alpha, controls))
+        circuit.extend(_streamwise_pattern(n_x, term.coefficient, alpha, controls))
     return circuit
 
 

@@ -122,6 +122,8 @@ class ScenarioConfig:
             raise ValueError(f"checkpoints must be >= 1, got {self.checkpoints}")
         if self.n_y == 0 and self.profile.order > 0:
             raise ValueError("a sheared profile needs a wall-normal register")
+        if self.bc_y is BoundaryKind.PERIODIC and self.n_y == 1:
+            raise ValueError("periodic bc_y needs n_y >= 2, got n_y = 1")
         if self.merge_strang and self.splitting != "strang":
             raise ValueError("merge_strang only applies to Strang splitting")
         if self.merge_strang and self.n_steps > 1 and self.checkpoints > 1:

@@ -6,6 +6,8 @@ index relabeling is needed).  Grid-to-mode analysis is its inverse.  The
 cosine/sine transforms for wall boundaries are applied as direct orthonormal
 transforms on the statevector rather than as gate sequences; they are the
 reference path the circuit kernels are verified against.
+``spectral_transform`` is the one dense transform per boundary kind, shared by
+those wall stages and the classical oracles.
 """
 
 from __future__ import annotations
@@ -79,14 +81,19 @@ def build_qft_circuit(n_qubits: int, inverse: bool = False) -> Circuit:
     return inverse_circuit(circuit) if inverse else circuit
 
 
-def wall_transform(
+def spectral_transform(
     values: np.ndarray, kind: BoundaryKind, inverse: bool = False, axis: int = 0
 ) -> np.ndarray:
-    """Orthonormal cosine (NEUMANN) or sine (DIRICHLET) transform along ``axis``.
+    """Orthonormal grid-to-mode transform along ``axis`` for one boundary kind.
 
-    Type 2 maps grid to modes and type 3 maps back.  Complex input goes to
-    scipy as is; it transforms the real and imaginary parts separately.
+    A periodic axis takes numpy's DFT (entries e^{-2*pi*i*j*k/N}/sqrt(N), the
+    QFT's analysis orientation) and its inverse.  A Neumann axis takes the
+    cosine and a Dirichlet axis the sine transform, type 2 from grid to modes
+    and type 3 back; complex input goes to scipy as is, which transforms the
+    real and imaginary parts separately.
     """
+    if kind is BoundaryKind.PERIODIC:
+        return (np.fft.ifft if inverse else np.fft.fft)(values, axis=axis, norm="ortho")
     import scipy.fft  # imported here so that importing the package skips scipy
 
     func = scipy.fft.dct if kind is BoundaryKind.NEUMANN else scipy.fft.dst
@@ -106,7 +113,7 @@ def _apply_wall_transform(
         raise ValueError(f"axis qubits {qubits} outside register of {state.n_qubits}")
     high = 1 << (state.n_qubits - lo - m)
     cube = state.amplitudes.reshape(high, 1 << m, 1 << lo)
-    out = wall_transform(cube, kind, inverse, axis=1)
+    out = spectral_transform(cube, kind, inverse, axis=1)
     return QuantumState(state.n_qubits, out.reshape(-1), state.success_prob)
 
 

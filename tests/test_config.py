@@ -170,6 +170,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"merged\.cfg: .*merge_strang"):
             load_config(path)
 
+    def test_periodic_walls_on_one_qubit_refused_on_load(self, tmp_path):
+        # periodic diffusion needs two qubits on its axis, so the file is
+        # refused before any reference runs
+        path = tmp_path / "thin.cfg"
+        path.write_text("n_x = 2\nn_y = 1\nprofile = couette\nD = 0.1\n"
+                        "t_final = 1.0\nbc_y = periodic\n")
+        with pytest.raises(ConfigError, match=r"thin\.cfg: periodic bc_y needs n_y >= 2"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")

@@ -340,6 +340,13 @@ class TestBind:
             build_shear_advection(2, 1, 1.0, VelocityProfile.named("couette")).bind(
                 value, "alpha")
 
+    def test_a_subnormal_coefficient_binds_to_the_angles_built_at_its_value(self):
+        # rounding coefficient * alpha first would give the top qubit
+        # -2e-323 where the bound stage's (coefficient * 2) * alpha is -1.5e-323
+        profile = VelocityProfile.custom([5e-324])
+        bound = build_shear_advection(2, 0, 1.0, profile).bind(-1.5, "alpha")
+        assert bound.gates == build_shear_advection(2, 0, -1.5, profile).gates
+
     def test_damping_rejects_a_negative_value(self):
         with pytest.raises(ValueError, match="beta must be >= 0"):
             build_periodic_diffusion(2, 1.0).bind(-0.5, "beta")

@@ -13,6 +13,7 @@ from qadvdiff.transforms import (
     apply_qct,
     apply_qst,
     build_qft_circuit,
+    spectral_transform,
     wavenumbers,
 )
 
@@ -35,17 +36,19 @@ class TestQftCircuit:
                         atol=1e-13)
 
     def test_analysis_agrees_with_fft(self):
+        # the periodic spectral_transform, the oracles' x transform, too
         vec = random_state_vector(4, 3)
         circuit = build_qft_circuit(4, inverse=True)
         out = apply_circuit(QuantumState(4, vec.copy()), circuit)
-        assert_allclose(out.amplitudes, np.fft.fft(vec, norm="ortho"),
-                        atol=1e-13)
+        for got in (out.amplitudes, spectral_transform(vec, BoundaryKind.PERIODIC)):
+            assert_allclose(got, np.fft.fft(vec, norm="ortho"), atol=1e-13)
 
     def test_synthesis_agrees_with_ifft(self):
         vec = random_state_vector(3, 8)
         out = apply_circuit(QuantumState(3, vec.copy()), build_qft_circuit(3))
-        assert_allclose(out.amplitudes, np.fft.ifft(vec, norm="ortho"),
-                        atol=1e-13)
+        inverse = spectral_transform(vec, BoundaryKind.PERIODIC, inverse=True)
+        for got in (out.amplitudes, inverse):
+            assert_allclose(got, np.fft.ifft(vec, norm="ortho"), atol=1e-13)
 
     def test_roundtrip_restores_state(self):
         vec = random_state_vector(5, 1)
