@@ -67,12 +67,10 @@ def _analytic_applies(settings: RunSettings) -> bool:
     )
 
 
-def _analytic_reference(config: ScenarioConfig) -> np.ndarray:
-    x = x_coordinates(config)
+def _analytic_reference(config: ScenarioConfig, t: float) -> np.ndarray:
     u = config.velocity_scale * config.profile.coefficients[0]
-    return analytic_pulse_solution(
-        x, config.t_final, u, config.diffusivity, config.length
-    )
+    return analytic_pulse_solution(x_coordinates(config), t, u, config.diffusivity,
+                                   config.length)
 
 
 def _gather_references(settings: RunSettings, field: np.ndarray) -> dict:
@@ -88,7 +86,7 @@ def _gather_references(settings: RunSettings, field: np.ndarray) -> dict:
             raise ConfigError(
                 "reference = analytic needs a 1D uniform-profile gaussian scenario"
             )
-        refs["analytic"] = _analytic_reference(config)
+        refs["analytic"] = _analytic_reference(config, config.t_final)
     if choice == "fd10" or (choice == "auto" and config.n_y > 0):
         refs["fd10"] = fd10_reference(config, np.real(field)).values
     return refs
@@ -141,15 +139,11 @@ def cmd_run(args) -> int:
 def _stage_max_error(config: ScenarioConfig, field: np.ndarray) -> float:
     """Largest error over the run's checkpoints vs the analytic pulse."""
     result = run_scenario(config, field)
-    x = x_coordinates(config)
-    u = config.velocity_scale * config.profile.coefficients[0]
     worst = 0.0
     for step, vector in result.checkpoint_states:
         if step == 0:
             continue
-        ref = analytic_pulse_solution(
-            x, step * config.dt, u, config.diffusivity, config.length
-        )
+        ref = _analytic_reference(config, step * config.dt)
         worst = max(worst, error_norm(vector, ref))
     return worst
 

@@ -94,12 +94,9 @@ def diagonal_propagator_oracle(
 
 
 def profile_row_velocities(config) -> np.ndarray:
-    """Per-row streamwise speeds u(y_q), y_q = q/(N_y - 1) including endpoints."""
-    if config.n_y == 0:
-        return np.array([config.velocity_scale * config.profile.coefficients[0]])
-    ny = 1 << config.n_y
-    y = np.arange(ny) / (ny - 1)
-    return config.velocity_scale * config.profile(y)
+    """Per-row streamwise speeds u(y_q), y_q = q/(N_y - 1) with endpoints; y = 0 in 1D."""
+    ny = config.ny_points
+    return config.velocity_scale * config.profile(np.arange(ny) / max(ny - 1, 1))
 
 
 def split_propagation_oracle(config, field) -> tuple[np.ndarray, list[float]]:

@@ -197,8 +197,6 @@ def initial_scalar_field(config: ScenarioConfig, kind: str = "gaussian") -> np.n
         column = np.ones(config.nx_points)
     else:
         raise ValueError(f"unknown initial condition {kind!r}")
-    if config.n_y == 0:
-        return column
     return np.tile(column[:, None], (1, config.ny_points)).reshape(-1, order="F")
 
 

@@ -76,6 +76,7 @@ DEFAULT_MAX_QUBITS = 26
 _MAX_QUBITS_ENV = "QADVDIFF_MAX_QUBITS"
 
 _MIN_POSTSELECT_PROB = 1e-300
+_SLAB_ROWS, _SLAB_DIM = 8, 64
 
 
 def max_qubits() -> int:
@@ -543,12 +544,22 @@ def _dense_step(n_qubits: int, lo: int, block: "Circuit", value: float | None = 
     eye = QuantumState(2 * w, np.eye(dim, dtype=np.complex128).ravel())
     bound = block if value is None else block.bind(value)
     matrix = apply_circuit(eye, bound).amplitudes.reshape(dim, dim)
+    # A matrix at most _SLAB_DIM wide multiplies in slabs of _SLAB_ROWS rows,
+    # one batched matmul: numpy runs one GEMM per slab, small enough that
+    # BLAS keeps it on one thread, where one 64x64 GEMM is split over every
+    # BLAS thread and waits on the slowest.  A wider matrix is one GEMM, which
+    # threads well and reads the matrix once instead of once per slab.
+    wide = dim > _SLAB_DIM
     if low == 1:
+        slab = high if wide else min(_SLAB_ROWS, high)
+
         def product(psi):
-            return psi.reshape(high, dim) @ matrix.T
+            return np.matmul(psi.reshape(-1, slab, dim), matrix.T)
     else:
+        left = matrix.reshape(-1, dim if wide else min(_SLAB_ROWS, dim), dim)
+
         def product(psi):
-            return matrix @ psi.reshape(high, dim, low)
+            return np.matmul(left, psi.reshape(high, 1, dim, low))
 
     # Heavily damped modes decay toward subnormal numbers, and every
     # subnormal product costs a slow floating-point assist: they made the
